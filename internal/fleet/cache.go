@@ -169,7 +169,9 @@ func (c *Cache) Len() int {
 // under the entry's once on first sight of the key. fresh is true for
 // the single caller whose lookup created the entry — the run's miss;
 // every other caller is a hit. inflight is true for hits that arrived
-// before the resolution finished and had to block on it.
+// before the resolution finished and had to block on it. looked runs
+// once the lookup is done and before any blocking, so a caller can
+// order lookups without serializing the verifications behind them.
 //
 // The circuit arrives as a provider, invoked only when the outcome
 // actually has to be computed — never on a memory or disk hit. That is
@@ -183,7 +185,7 @@ func (c *Cache) Len() int {
 // not poison future runs). Because the disk I/O happens inside the
 // once, per-key disk hit/miss counts stay singleflight-deterministic
 // at any worker count, exactly like the memory layer's.
-func (c *Cache) verify(fp netlist.Fingerprint, cfg string, circuit func() (*netlist.Circuit, error), opt core.Options, disk *DiskCache) (e *cacheEntry, fresh, inflight bool) {
+func (c *Cache) verify(fp netlist.Fingerprint, cfg string, circuit func() (*netlist.Circuit, error), opt core.Options, disk *DiskCache, looked func()) (e *cacheEntry, fresh, inflight bool) {
 	key := cacheKey{fp: fp, cfg: cfg}
 	c.mu.Lock()
 	e, ok := c.entries[key]
@@ -194,6 +196,7 @@ func (c *Cache) verify(fp netlist.Fingerprint, cfg string, circuit func() (*netl
 	}
 	c.mu.Unlock()
 	inflight = !fresh && !e.done.Load()
+	looked()
 	e.once.Do(func() {
 		if disk != nil {
 			if ent, out := disk.load(fp, cfg); out == diskHit {

@@ -2,12 +2,16 @@ package fleet
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/designs"
+	"repro/internal/netlist"
 )
 
 // diskZoo is a corpus where verification cost dominates what a warm
@@ -201,7 +205,28 @@ func TestDiskCacheGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Verify(zoo(), Options{Core: coreOpts(), DiskCache: d})
+	// Fixture: one entry per zoo design, all the same size, written
+	// through the cache's store path so Stats counts the writes. Their
+	// mtimes are set a minute apart in write order, so the LRU order is
+	// fixed whatever the filesystem's timestamp resolution. With equal
+	// sizes, halving the byte bound must evict some entries and keep
+	// others. (Verifying the zoo itself cannot: its SRAM entry is most
+	// of the bytes and also the newest.)
+	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	paths := make([]string, len(zoo()))
+	for i := range paths {
+		var fp netlist.Fingerprint
+		fp[0] = byte(i + 1)
+		rep := &core.Report{Design: fmt.Sprintf("gc-entry-%d", i)}
+		if _, err := d.store(fp, "gc-fixture", rep); err != nil {
+			t.Fatal(err)
+		}
+		paths[i] = d.entryPath(fp, "gc-fixture")
+		mtime := base.Add(time.Duration(i) * time.Minute)
+		if err := os.Chtimes(paths[i], mtime, mtime); err != nil {
+			t.Fatal(err)
+		}
+	}
 	st, err := d.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -230,6 +255,13 @@ func TestDiskCacheGC(t *testing.T) {
 	}
 	if st2.Evicts != int64(removed) {
 		t.Fatalf("evict counter %d != removed %d", st2.Evicts, removed)
+	}
+	// Eviction followed the LRU order: the oldest entries went first.
+	for i, path := range paths {
+		_, statErr := os.Stat(path)
+		if evicted := os.IsNotExist(statErr); evicted != (i < removed) {
+			t.Errorf("entry %d (of %d, oldest first): evicted=%v after removing %d", i, len(paths), evicted, removed)
+		}
 	}
 	// GC(0) empties the cache entirely.
 	if _, _, err := d.GC(0); err != nil {

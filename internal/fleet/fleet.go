@@ -290,6 +290,20 @@ func Verify(items []Item, opt Options) *Report {
 	if cache == nil && opt.DiskCache != nil {
 		cache = NewCache()
 	}
+	// Cache lookups run in input order: item i looks up only once
+	// turn[i] is closed, and closes turn[i+1] when its lookup is done or
+	// skipped. Of items sharing a key, the lowest-index one therefore
+	// always creates the entry — the run's miss, which carries the
+	// stage spans and disk outcome — whatever order the scheduler runs
+	// workers in. Only lookups are ordered; verifications overlap.
+	var turn []chan struct{}
+	if cache != nil {
+		turn = make([]chan struct{}, len(items)+1)
+		for i := range turn {
+			turn[i] = make(chan struct{})
+		}
+		close(turn[0])
+	}
 	var hits, misses, inflight, busyNS int64
 	var dHits, dMisses, dCorrupt, dWrites, dEvicted int64
 	var wg sync.WaitGroup
@@ -323,12 +337,17 @@ func Verify(items []Item, opt Options) *Report {
 						c, err := circ()
 						if err != nil {
 							res.Err = err
+							if cache != nil {
+								<-turn[i]
+								close(turn[i+1])
+							}
 							return
 						}
 						res.Fingerprint = c.Fingerprint()
 					}
 					if cache != nil {
-						e, fresh, blocked := cache.verify(res.Fingerprint, cfg, circ, copt, opt.DiskCache)
+						<-turn[i]
+						e, fresh, blocked := cache.verify(res.Fingerprint, cfg, circ, copt, opt.DiskCache, func() { close(turn[i+1]) })
 						res.Report, res.Err = e.rep, e.err
 						res.Cached = !fresh
 						res.DiskHit = e.disk == diskHit

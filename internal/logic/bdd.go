@@ -22,32 +22,60 @@ type bddNode struct {
 	lo, hi Ref
 }
 
+// iteEntry is one computed-table entry: Ite(f, g, h) = r.
+type iteEntry struct{ f, g, h, r Ref }
+
 // BDD is a reduced ordered binary decision diagram manager with a
 // hash-consed unique table and memoized apply operations. Canonicity
 // guarantee: two functions over the same manager are equal iff their Refs
 // are equal — this is what makes the §4.1 equivalence check a pointer
 // comparison.
+//
+// Both tables are open-addressing arrays with linear probing, sized to
+// powers of two and kept at most half full. The unique table holds node
+// refs (0 marks an empty slot: no decision node is ref 0). The ITE memo
+// is exact — entries are never evicted, so each (f, g, h) triple is
+// computed once and Ite keeps its O(|f|·|g|·|h|) bound — and an entry
+// with f == 0 is empty, since Ite settles a false condition before it
+// consults the memo.
 type BDD struct {
 	nodes   []bddNode
-	unique  map[bddNode]Ref
+	unique  []Ref
 	vars    []string
 	varIdx  map[string]int32
-	iteMemo map[iteKey]Ref
+	memo    []iteEntry
+	memoLen int
+	// visit is Restrict's per-node memo: an entry belongs to the
+	// current walk when its pass equals b.pass, so no walk clears the
+	// slice.
+	visit []visitEntry
+	pass  uint32
 }
 
-type iteKey struct{ f, g, h Ref }
+// visitEntry is one node's scratch slot for the current walk.
+type visitEntry struct {
+	pass uint32
+	r    Ref
+}
+
+// Initial table sizes: enough for a small gate's functions without a
+// rehash, small enough that a manager per gate stays cheap.
+const (
+	initUnique = 32
+	initMemo   = 32
+)
 
 // NewBDD returns an empty manager.
 func NewBDD() *BDD {
-	b := &BDD{
-		unique:  make(map[bddNode]Ref),
-		varIdx:  make(map[string]int32),
-		iteMemo: make(map[iteKey]Ref),
+	// Slots 0/1 of nodes are the terminals (level math.MaxInt32
+	// semantics handled via level accessor); its capacity matches the
+	// node count at which the unique table first grows.
+	return &BDD{
+		nodes:  make([]bddNode, 2, initUnique/2),
+		unique: make([]Ref, initUnique),
+		varIdx: make(map[string]int32),
+		memo:   make([]iteEntry, initMemo),
 	}
-	// Reserve slots 0/1 for terminals (level math.MaxInt32 semantics
-	// handled via level accessor).
-	b.nodes = append(b.nodes, bddNode{}, bddNode{})
-	return b
 }
 
 // Var returns the function of the named variable, registering it at the
@@ -82,6 +110,16 @@ func (b *BDD) level(r Ref) int32 {
 	return b.nodes[r].level
 }
 
+// hash3 mixes a triple into a table index seed. Each component is
+// spread by its own odd multiplier and the high bits are folded down,
+// because the tables index with the low bits.
+func hash3(a, b, c Ref) uint64 {
+	h := uint64(uint32(a))*0x9e3779b97f4a7c15 ^
+		uint64(uint32(b))*0xc2b2ae3d27d4eb4f ^
+		uint64(uint32(c))*0x165667b19e3779f9
+	return h ^ h>>32
+}
+
 // mk returns the canonical node (level, lo, hi), applying the reduction
 // rules (no redundant tests, shared subgraphs).
 func (b *BDD) mk(level int32, lo, hi Ref) Ref {
@@ -89,13 +127,64 @@ func (b *BDD) mk(level int32, lo, hi Ref) Ref {
 		return lo
 	}
 	key := bddNode{level, lo, hi}
-	if r, ok := b.unique[key]; ok {
-		return r
+	mask := uint64(len(b.unique) - 1)
+	i := hash3(Ref(level), lo, hi) & mask
+	for ; b.unique[i] != 0; i = (i + 1) & mask {
+		if r := b.unique[i]; b.nodes[r] == key {
+			return r
+		}
 	}
 	r := Ref(len(b.nodes))
 	b.nodes = append(b.nodes, key)
-	b.unique[key] = r
+	if 2*len(b.nodes) > len(b.unique) {
+		b.growUnique()
+	} else {
+		b.unique[i] = r
+	}
 	return r
+}
+
+// growUnique doubles the unique table and reinserts every node.
+func (b *BDD) growUnique() {
+	b.unique = make([]Ref, 2*len(b.unique))
+	mask := uint64(len(b.unique) - 1)
+	for r := 2; r < len(b.nodes); r++ {
+		n := b.nodes[r]
+		i := hash3(Ref(n.level), n.lo, n.hi) & mask
+		for b.unique[i] != 0 {
+			i = (i + 1) & mask
+		}
+		b.unique[i] = Ref(r)
+	}
+}
+
+// memoSlot returns the memo index holding (f, g, h), or the empty slot
+// where it belongs.
+func (b *BDD) memoSlot(f, g, h Ref) uint64 {
+	mask := uint64(len(b.memo) - 1)
+	i := hash3(f, g, h) & mask
+	for {
+		e := &b.memo[i]
+		if e.f == 0 || (e.f == f && e.g == g && e.h == h) {
+			return i
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// memoize records Ite(f, g, h) = r, growing the memo past half full.
+func (b *BDD) memoize(f, g, h, r Ref) {
+	if 2*(b.memoLen+1) > len(b.memo) {
+		old := b.memo
+		b.memo = make([]iteEntry, 2*len(old))
+		for _, e := range old {
+			if e.f != 0 {
+				b.memo[b.memoSlot(e.f, e.g, e.h)] = e
+			}
+		}
+	}
+	b.memo[b.memoSlot(f, g, h)] = iteEntry{f, g, h, r}
+	b.memoLen++
 }
 
 // Ite computes if-then-else(f, g, h), the universal BDD operation.
@@ -111,9 +200,8 @@ func (b *BDD) Ite(f, g, h Ref) Ref {
 	case g == RefTrue && h == RefFalse:
 		return f
 	}
-	key := iteKey{f, g, h}
-	if r, ok := b.iteMemo[key]; ok {
-		return r
+	if e := b.memo[b.memoSlot(f, g, h)]; e.f != 0 {
+		return e.r
 	}
 	// Split on the top variable.
 	top := b.level(f)
@@ -129,8 +217,22 @@ func (b *BDD) Ite(f, g, h Ref) Ref {
 	lo := b.Ite(f0, g0, h0)
 	hi := b.Ite(f1, g1, h1)
 	r := b.mk(top, lo, hi)
-	b.iteMemo[key] = r
+	b.memoize(f, g, h, r)
 	return r
+}
+
+// beginWalk starts a scratch pass over the current node table and
+// returns its stamp.
+func (b *BDD) beginWalk() uint32 {
+	if len(b.visit) < len(b.nodes) {
+		b.visit = append(b.visit, make([]visitEntry, len(b.nodes)-len(b.visit))...)
+	}
+	b.pass++
+	if b.pass == 0 { // stamp wrapped: clear stale entries
+		clear(b.visit)
+		b.pass = 1
+	}
+	return b.pass
 }
 
 // cofactors returns the negative and positive cofactors of r with respect
@@ -304,31 +406,33 @@ func (b *BDD) Restrict(f Ref, name string, val bool) Ref {
 	if !ok {
 		return f
 	}
-	memo := make(map[Ref]Ref)
-	var walk func(Ref) Ref
-	walk = func(r Ref) Ref {
-		if r == RefTrue || r == RefFalse {
-			return r
-		}
-		if v, ok := memo[r]; ok {
-			return v
-		}
-		n := b.nodes[r]
-		var out Ref
-		switch {
-		case n.level == idx && val:
-			out = walk(n.hi)
-		case n.level == idx:
-			out = walk(n.lo)
-		case n.level > idx:
-			out = r
-		default:
-			out = b.mk(n.level, walk(n.lo), walk(n.hi))
-		}
-		memo[r] = out
-		return out
+	return b.restrict(f, idx, val, b.beginWalk())
+}
+
+// restrict is Restrict's walk, memoized in the visit scratch under pass.
+// Nodes it creates are never revisited within the pass, so the scratch
+// sized at beginWalk covers every node it reads.
+func (b *BDD) restrict(r Ref, idx int32, val bool, pass uint32) Ref {
+	if r == RefTrue || r == RefFalse {
+		return r
 	}
-	return walk(f)
+	if v := b.visit[r]; v.pass == pass {
+		return v.r
+	}
+	n := b.nodes[r]
+	var out Ref
+	switch {
+	case n.level == idx && val:
+		out = b.restrict(n.hi, idx, val, pass)
+	case n.level == idx:
+		out = b.restrict(n.lo, idx, val, pass)
+	case n.level > idx:
+		out = r
+	default:
+		out = b.mk(n.level, b.restrict(n.lo, idx, val, pass), b.restrict(n.hi, idx, val, pass))
+	}
+	b.visit[r] = visitEntry{pass, out}
+	return out
 }
 
 // Exists returns ∃name. f — the disjunction of both restrictions.

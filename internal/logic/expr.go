@@ -204,6 +204,9 @@ func nary(op Op, xs []Expr) Expr {
 			}
 			return c // absorbing element: short-circuit
 		}
+		if out == nil {
+			out = make([]Expr, 0, len(xs))
+		}
 		if n, ok := x.(*NaryExpr); ok && n.Op == op {
 			out = append(out, n.Xs...)
 			continue

@@ -10,7 +10,7 @@ import (
 // deduced conduction functions and its structure. The tests are ordered
 // from most specific to most general; anything that matches nothing is
 // FamilyUnknown, which the CBV flow reports rather than trusts.
-func (g *Group) classify(c *netlist.Circuit, clocks map[netlist.NodeID]bool) {
+func (g *Group) classify(c *netlist.Circuit, clocks map[netlist.NodeID]bool, gb *groupBDD) {
 	if len(g.Funcs) == 0 {
 		g.Family = FamilyUnknown
 		return
@@ -18,7 +18,7 @@ func (g *Group) classify(c *netlist.Circuit, clocks map[netlist.NodeID]bool) {
 	g.ClockNets = g.clockGates(c, clocks)
 
 	switch {
-	case g.isDynamic(c, clocks):
+	case g.isDynamic(c, clocks, gb):
 		g.Family = FamilyDynamic
 		// A keeper's fight with the evaluate tree blocks the generic
 		// functional abstraction (CanFight); once the group is known to
@@ -36,7 +36,7 @@ func (g *Group) classify(c *netlist.Circuit, clocks map[netlist.NodeID]bool) {
 		}
 	case g.isPassTransistor(c):
 		g.Family = FamilyPassTransistor
-	case g.isRatioed(c):
+	case g.isRatioed(gb):
 		g.Family = FamilyRatioed
 	case g.isStaticCMOS(c):
 		g.Family = FamilyStaticCMOS
@@ -81,12 +81,12 @@ func (g *Group) isStaticCMOS(c *netlist.Circuit) bool {
 // isRatioed: some output's pull-up (or pull-down) network is permanently
 // conducting — a grounded-gate PMOS load or equivalent — so the output
 // level is set by a fight the designer sized to win (pseudo-NMOS).
-func (g *Group) isRatioed(c *netlist.Circuit) bool {
-	for _, f := range g.Funcs {
-		upAlways := logic.Tautology(f.PullUp)
-		downAlways := logic.Tautology(f.PullDown)
-		if (upAlways && !downAlways && logic.Satisfiable(f.PullDown)) ||
-			(downAlways && !upAlways && logic.Satisfiable(f.PullUp)) {
+func (g *Group) isRatioed(gb *groupBDD) bool {
+	for _, pr := range gb.refs {
+		upAlways := pr.up == logic.RefTrue
+		downAlways := pr.down == logic.RefTrue
+		if (upAlways && !downAlways && pr.down != logic.RefFalse) ||
+			(downAlways && !upAlways && pr.up != logic.RefFalse) {
 			return true
 		}
 	}
@@ -99,16 +99,12 @@ func (g *Group) isRatioed(c *netlist.Circuit) bool {
 // happens to take a clock input). Keepers — extra PMOS pull-ups gated by
 // feedback — are permitted; they do not make the gate static (§4.2,
 // Figure 3).
-func (g *Group) isDynamic(c *netlist.Circuit, clocks map[netlist.NodeID]bool) bool {
+func (g *Group) isDynamic(c *netlist.Circuit, clocks map[netlist.NodeID]bool, gb *groupBDD) bool {
 	if len(g.ClockNets) == 0 {
 		return false
 	}
-	clockNames := make(map[string]bool, len(clocks))
-	for ck := range clocks {
-		clockNames[c.NodeName(ck)] = true
-	}
 	dynamic := false
-	for _, f := range g.Funcs {
+	for i, f := range g.Funcs {
 		if f.Complementary {
 			continue // a static gate, whatever its inputs are named
 		}
@@ -137,11 +133,11 @@ func (g *Group) isDynamic(c *netlist.Circuit, clocks map[netlist.NodeID]bool) bo
 		dynamic = true
 		// Footed: with all clocks low, the pull-down is off no matter
 		// the data (every evaluate path has a clocked foot).
-		off := f.PullDown
+		off := gb.refs[i].down
 		for ck := range clocks {
-			off = logic.Substitute(off, c.NodeName(ck), logic.False)
+			off = gb.m.Restrict(off, c.NodeName(ck), false)
 		}
-		g.Footed = !logic.Satisfiable(off)
+		g.Footed = off == logic.RefFalse
 	}
 	return dynamic
 }

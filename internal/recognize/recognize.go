@@ -246,22 +246,27 @@ func Analyze(c *netlist.Circuit) (*Result, error) {
 	}
 	r.buildGroups()
 	clocks := r.identifyClocks()
-	for _, g := range r.Groups {
-		g.deriveFuncs(c, clocks)
+	// One BDD manager per group for this call only; see groupBDD.
+	bdds := make([]groupBDD, len(r.Groups))
+	w := &pathWalker{c: c}
+	for i, g := range r.Groups {
+		g.deriveFuncs(c, clocks, &bdds[i], w)
 	}
-	// Second pass: functional inference of unnamed domino clocks, then
-	// re-derive so evaluate-phase abstractions see the full clock set.
-	if inferred := r.inferDominoClocks(clocks); len(inferred) > 0 {
+	// Second pass: functional inference of unnamed domino clocks. Of
+	// everything deriveFuncs computed, only Function depends on the
+	// clock set, so only it is recomputed.
+	if inferred := r.inferDominoClocks(clocks, bdds); len(inferred) > 0 {
 		for ck := range inferred {
 			clocks[ck] = true
 		}
 		for _, g := range r.Groups {
-			g.Funcs = nil
-			g.deriveFuncs(c, clocks)
+			for _, f := range g.Funcs {
+				f.Function = nodeFunction(c, f, clocks)
+			}
 		}
 	}
-	for _, g := range r.Groups {
-		g.classify(c, clocks)
+	for i, g := range r.Groups {
+		g.classify(c, clocks, &bdds[i])
 	}
 	r.pairDCVSL()
 	// Clock-gated groups recorded; collect dynamic nodes.
