@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"testing"
 
 	"repro/internal/core"
 	"repro/internal/designs"
@@ -14,35 +13,23 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/process"
-	"repro/internal/recognize"
 	"repro/internal/rtl"
 	"repro/internal/switchsim"
-	"repro/internal/timing"
 )
 
 // BenchMetrics is the JSON shape of `fcv bench -out BENCH_fleet.json`:
-// the repo's headline performance numbers in machine-readable form, so
-// CI can archive them per commit.
+// the numbers the repo benchmark (perfbench) deliberately leaves out —
+// the scalar simulation loops against the packed kernels, block-parallel
+// cycles/day, the persistent disk cache and the hierarchical
+// cold-vs-edit ratio — in machine-readable form, so CI can archive and
+// trend-gate them per commit.
 type BenchMetrics struct {
 	// GOMAXPROCS records the parallelism available to the run; the
-	// fleet speedup is bounded by it. FleetWorkersJN is the worker
-	// count the -jN measurement actually ran with (the fleet clamps
-	// workers to the corpus size, so the two can differ).
-	GOMAXPROCS     int `json:"gomaxprocs"`
-	FleetWorkersJN int `json:"fleet_workers_jn"`
-	// RTLCyclesPerSec is the switch/RTL simulation throughput of the S1
+	// block-parallel and hierarchical numbers are bounded by it.
+	GOMAXPROCS int `json:"gomaxprocs"`
+	// RTLCyclesPerSec is the scalar RTL simulation throughput of the S1
 	// pipeline workload (the paper's 200 cycles/sec yardstick).
 	RTLCyclesPerSec float64 `json:"rtl_cycles_per_sec"`
-	// FleetDesignsPerSecJ1 and JN are cold-cache corpus verification
-	// rates at 1 worker and at GOMAXPROCS workers.
-	FleetDesignsPerSecJ1 float64 `json:"fleet_designs_per_sec_j1"`
-	FleetDesignsPerSecJN float64 `json:"fleet_designs_per_sec_jn"`
-	// FleetSpeedup is JN/J1.
-	FleetSpeedup float64 `json:"fleet_speedup"`
-	// CacheHitPct is the cache hit percentage of a second pass over an
-	// already-verified design (the memoization headline; 100 when every
-	// lookup hits).
-	CacheHitPct float64 `json:"cache_hit_pct"`
 	// DiskColdDesignsPerSec and DiskWarmDesignsPerSec measure the
 	// persistent cache: one run populating an empty cache directory,
 	// then a fresh process-equivalent run replaying from it.
@@ -50,12 +37,6 @@ type BenchMetrics struct {
 	DiskColdDesignsPerSec float64 `json:"disk_cold_designs_per_sec"`
 	DiskWarmDesignsPerSec float64 `json:"disk_warm_designs_per_sec"`
 	DiskWarmSpeedup       float64 `json:"disk_warm_speedup"`
-	// AllocsPerOp* pin the hot kernels' allocation behaviour (the same
-	// workloads as the per-package alloc-regression tests).
-	AllocsFingerprint float64 `json:"allocs_per_op_fingerprint"`
-	AllocsRecognize   float64 `json:"allocs_per_op_recognize"`
-	AllocsTiming      float64 `json:"allocs_per_op_timing"`
-	AllocsSettle      float64 `json:"allocs_per_op_settle"`
 	// VectorsPerSec is the packed switch-level settle throughput in
 	// stimulus vectors per second (64 lanes per settle) on the clocked
 	// domino-adder kernel; ScalarVectorsPerSec is the scalar oracle on
@@ -87,24 +68,11 @@ type BenchMetrics struct {
 	HierColdDesignsPerSec         float64 `json:"hier_cold_designs_per_sec"`
 	HierEditOneLeafReverifyPerSec float64 `json:"hier_edit_one_leaf_reverify_per_sec"`
 	HierIncrementalSpeedup        float64 `json:"hier_incremental_speedup"`
-	// Serve* metrics exist only when the run included the -serve load
-	// harness: ServeClients concurrent HTTP clients POSTing decks at an
-	// in-process `fcv serve` daemon. RequestsPerSec counts completed
-	// round-trips; P50/P99 are client-observed request latencies in
-	// milliseconds (lower is better — the trend gate watches them with
-	// the inequality reversed). omitempty keeps plain `fcv bench`
-	// artifacts free of the keys so trend's key-drift skip applies.
-	ServeClients        int     `json:"serve_clients,omitempty"`
-	ServeRequestsPerSec float64 `json:"serve_requests_per_sec,omitempty"`
-	ServeP50MS          float64 `json:"serve_p50_ms,omitempty"`
-	ServeP99MS          float64 `json:"serve_p99_ms,omitempty"`
 }
 
-// benchZoo is the corpus the fleet numbers are measured over: the S5
-// design zoo swept across sizes so every item has a distinct structural
-// fingerprint. With ~24 members the -jN pass keeps every worker busy
-// long enough for fleet_speedup to measure parallel scaling rather
-// than pool startup.
+// benchZoo is the disk-cache corpus: the S5 design zoo swept across
+// sizes so every item has a distinct structural fingerprint and so its
+// own cache entry.
 func benchZoo() []fleet.Item {
 	var items []fleet.Item
 	add := func(name string, c *netlist.Circuit) {
@@ -128,24 +96,44 @@ func benchZoo() []fleet.Item {
 	return items
 }
 
-// runBench measures the headline metrics in-process and writes them as
-// JSON:
+// bestRate calls run reps times and returns the best rate: work units
+// per second of run's wall clock. prep, when non-nil, does rep r's
+// set-up outside the timed region. Scheduling noise on a shared host
+// only ever slows a run down, so the best rep is the least-biased
+// estimate and keeps the trend gate from firing on machine load.
+func bestRate(reps int, work float64, prep, run func(r int) error) (float64, error) {
+	var best float64
+	for r := 0; r < reps; r++ {
+		if prep != nil {
+			if err := prep(r); err != nil {
+				return 0, err
+			}
+		}
+		t0 := obs.Now()
+		if err := run(r); err != nil {
+			return 0, err
+		}
+		if rate := work / obs.Now().Sub(t0).Seconds(); rate > best {
+			best = rate
+		}
+	}
+	return best, nil
+}
+
+// runBench measures the metrics in-process and writes them as JSON:
 //
-//	fcv bench [-out BENCH_fleet.json] [-cycles N] [-manifest m.json]
+//	fcv bench [-out BENCH_fleet.json] [-cycles N] [-reps N] [-manifest m.json]
 //
 // -manifest additionally writes a run manifest (the same schema as
 // `fcv verify -manifest`) carrying the bench's telemetry: RTL cycle
-// counters and per-phase timings, fleet spans and cache counters, and
-// the headline metrics as gauges.
+// counters and per-phase timings, the cold disk-cache pass's fleet
+// spans and cache counters, and the metrics as gauges.
 func runBench(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	outPath := fs.String("out", "BENCH_fleet.json", "metrics JSON output path (\"-\" for stdout)")
 	cycles := fs.Int("cycles", 20000, "RTL cycles to time")
 	reps := fs.Int("reps", 3, "repetitions per measurement (best rate wins)")
 	manifestPath := fs.String("manifest", "", "write a run-manifest JSON to this path")
-	serveLoad := fs.Bool("serve", false, "also load-test an in-process fcv serve daemon")
-	serveClients := fs.Int("serve-clients", 16, "concurrent clients for -serve")
-	serveReqs := fs.Int("serve-reqs", 8, "requests per client for -serve")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -155,6 +143,14 @@ func runBench(args []string, out *os.File) error {
 	var col *obs.Collector
 	if *manifestPath != "" {
 		col = obs.New()
+	}
+	// Telemetry observes the first rep only, so manifest counters do
+	// not scale with -reps.
+	first := func(r int) *obs.Collector {
+		if r == 0 {
+			return col
+		}
+		return nil
 	}
 	benchStart := obs.Now()
 	m := BenchMetrics{GOMAXPROCS: runtime.GOMAXPROCS(0)}
@@ -178,37 +174,25 @@ func runBench(args []string, out *os.File) error {
 	if err := sim.Set("run", 1); err != nil {
 		return err
 	}
-	// Each measurement below is repeated -reps times and the best rate
-	// wins: scheduling noise on a shared host only ever slows a run
-	// down, so the max is the least-biased estimate and keeps the trend
-	// gate from firing on machine load. Telemetry observes the first
-	// rep only, so manifest counters do not scale with -reps.
 	sim.Run(*cycles / 10) // warm-up
-	sim.SetObserver(col)
-	for r := 0; r < *reps; r++ {
-		start := obs.Now()
-		sim.Run(*cycles)
-		if rate := float64(*cycles) / obs.Now().Sub(start).Seconds(); rate > m.RTLCyclesPerSec {
-			m.RTLCyclesPerSec = rate
-		}
-		sim.SetObserver(nil)
+	m.RTLCyclesPerSec, err = bestRate(*reps, float64(*cycles),
+		func(r int) error { sim.SetObserver(first(r)); return nil },
+		func(int) error { sim.Run(*cycles); return nil })
+	if err != nil {
+		return err
 	}
 
 	// Bit-parallel lane throughput: the packed settle versus the scalar
 	// oracle on the same clocked domino-adder step. One packed settle
 	// carries 64 independent stimulus lanes, so the packed pass counts
 	// 64 vectors where the scalar pass counts one.
-	laneSteps := *cycles / 50
-	if laneSteps < 300 {
-		laneSteps = 300
-	}
+	laneSteps := max(*cycles/50, 300)
 	scal, err := switchsim.New(designs.DominoAdder(16))
 	if err != nil {
 		return err
 	}
 	scal.Settle()
-	for r := 0; r < *reps; r++ {
-		t0 := obs.Now()
+	m.ScalarVectorsPerSec, err = bestRate(*reps, float64(laneSteps), nil, func(int) error {
 		for i := 0; i < laneSteps; i++ {
 			scal.SetQuiet("phi", switchsim.Lo)
 			scal.Settle()
@@ -217,35 +201,34 @@ func runBench(args []string, out *os.File) error {
 			scal.SetQuiet("phi", switchsim.Hi)
 			scal.Settle()
 		}
-		if rate := float64(laneSteps) / obs.Now().Sub(t0).Seconds(); rate > m.ScalarVectorsPerSec {
-			m.ScalarVectorsPerSec = rate
-		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	packed, err := switchsim.NewPacked(designs.DominoAdder(16))
 	if err != nil {
 		return err
 	}
 	packed.Settle()
-	packed.SetObserver(col)
-	for r := 0; r < *reps; r++ {
-		t0 := obs.Now()
-		for i := 0; i < laneSteps; i++ {
-			packed.SetQuietAll("phi", switchsim.Lo)
-			packed.Settle()
-			lanes := uint64(i+1) * 0x9e3779b97f4a7c15
-			packed.SetQuietLanes("a0", lanes, ^lanes)
-			packed.SetQuietAll("b0", switchsim.Hi)
-			packed.SetQuietAll("phi", switchsim.Hi)
-			packed.Settle()
-		}
-		if rate := float64(laneSteps*switchsim.Lanes) / obs.Now().Sub(t0).Seconds(); rate > m.VectorsPerSec {
-			m.VectorsPerSec = rate
-		}
-		packed.SetObserver(nil)
+	m.VectorsPerSec, err = bestRate(*reps, float64(laneSteps*switchsim.Lanes),
+		func(r int) error { packed.SetObserver(first(r)); return nil },
+		func(int) error {
+			for i := 0; i < laneSteps; i++ {
+				packed.SetQuietAll("phi", switchsim.Lo)
+				packed.Settle()
+				lanes := uint64(i+1) * 0x9e3779b97f4a7c15
+				packed.SetQuietLanes("a0", lanes, ^lanes)
+				packed.SetQuietAll("b0", switchsim.Hi)
+				packed.SetQuietAll("phi", switchsim.Hi)
+				packed.Settle()
+			}
+			return nil
+		})
+	if err != nil {
+		return err
 	}
-	if m.ScalarVectorsPerSec > 0 {
-		m.LaneParallelSpeedup = m.VectorsPerSec / m.ScalarVectorsPerSec
-	}
+	m.LaneParallelSpeedup = m.VectorsPerSec / m.ScalarVectorsPerSec
 
 	// Block-parallel packed RTL on the S1 pipeline: independent 64-lane
 	// blocks across goroutine workers, extrapolated to cycles/day.
@@ -255,135 +238,87 @@ func runBench(args []string, out *os.File) error {
 	}
 	bcfg := rtl.BlockConfig{
 		Blocks: 4 * m.GOMAXPROCS,
-		Cycles: *cycles / 40,
+		Cycles: max(*cycles/40, 50),
 		Seed:   9,
 		Inputs: []string{"run"},
 	}
-	if bcfg.Cycles < 50 {
-		bcfg.Cycles = 50
-	}
-	m.LaneBlockWorkers = m.GOMAXPROCS
-	if m.LaneBlockWorkers > bcfg.Blocks {
-		m.LaneBlockWorkers = bcfg.Blocks
-	}
-	for r := 0; r < *reps; r++ {
-		o := col
-		if r > 0 {
-			o = nil
-		}
-		t0 := obs.Now()
-		if _, err := rtl.RunBlocks(pipeDesign, bcfg, o); err != nil {
-			return err
-		}
-		laneCycles := float64(bcfg.Blocks) * float64(bcfg.Cycles) * rtl.Lanes
-		if rate := laneCycles / obs.Now().Sub(t0).Seconds() * 86400; rate > m.CyclesPerDay {
-			m.CyclesPerDay = rate
-		}
+	m.LaneBlockWorkers = min(m.GOMAXPROCS, bcfg.Blocks)
+	laneCyclesPerDay := float64(bcfg.Blocks) * float64(bcfg.Cycles) * rtl.Lanes * 86400
+	m.CyclesPerDay, err = bestRate(*reps, laneCyclesPerDay, nil, func(r int) error {
+		_, err := rtl.RunBlocks(pipeDesign, bcfg, first(r))
+		return err
+	})
+	if err != nil {
+		return err
 	}
 	// The same block set pinned to one worker goroutine is the serial
 	// baseline for the multi-core scaling factor.
-	var laneBlockSerial float64
 	bcfg1 := bcfg
 	bcfg1.Workers = 1
-	for r := 0; r < *reps; r++ {
-		t0 := obs.Now()
-		if _, err := rtl.RunBlocks(pipeDesign, bcfg1, nil); err != nil {
-			return err
-		}
-		laneCycles := float64(bcfg1.Blocks) * float64(bcfg1.Cycles) * rtl.Lanes
-		if rate := laneCycles / obs.Now().Sub(t0).Seconds() * 86400; rate > laneBlockSerial {
-			laneBlockSerial = rate
-		}
+	laneBlockSerial, err := bestRate(*reps, laneCyclesPerDay, nil, func(int) error {
+		_, err := rtl.RunBlocks(pipeDesign, bcfg1, nil)
+		return err
+	})
+	if err != nil {
+		return err
 	}
-	if laneBlockSerial > 0 {
-		m.LaneBlockSpeedup = m.CyclesPerDay / laneBlockSerial
-	}
-
-	// Cold-cache fleet rates at -j 1 and -j GOMAXPROCS.
-	opts := func(j int) fleet.Options {
-		return fleet.Options{
-			Core:    core.Options{Proc: process.CMOS075()},
-			Workers: j,
-			Cache:   fleet.NewCache(),
-			Obs:     col,
-		}
-	}
-	items := benchZoo()
-	var coldRep *fleet.Report
-	for r := 0; r < *reps; r++ {
-		o := opts(1)
-		if r > 0 {
-			o.Obs = nil
-		}
-		t1 := obs.Now()
-		rep := fleet.Verify(items, o)
-		if r == 0 {
-			coldRep = rep
-		}
-		if rate := float64(len(items)) / obs.Now().Sub(t1).Seconds(); rate > m.FleetDesignsPerSecJ1 {
-			m.FleetDesignsPerSecJ1 = rate
-		}
-	}
-	for r := 0; r < *reps; r++ {
-		o := opts(m.GOMAXPROCS)
-		if r > 0 {
-			o.Obs = nil
-		}
-		tn := obs.Now()
-		rep := fleet.Verify(items, o)
-		m.FleetWorkersJN = rep.Workers
-		if rate := float64(len(items)) / obs.Now().Sub(tn).Seconds(); rate > m.FleetDesignsPerSecJN {
-			m.FleetDesignsPerSecJN = rate
-		}
-	}
-	if m.FleetDesignsPerSecJ1 > 0 {
-		m.FleetSpeedup = m.FleetDesignsPerSecJN / m.FleetDesignsPerSecJ1
-	}
+	m.LaneBlockSpeedup = m.CyclesPerDay / laneBlockSerial
 
 	// Persistent-cache throughput: populate an empty directory cold,
 	// then replay it warm with fresh in-memory state — the same contract
-	// as two fcv processes sharing -cache-dir.
+	// as two fcv processes sharing -cache-dir. The first cold pass is the
+	// manifest's corpus half.
+	items := benchZoo()
 	diskDir, err := os.MkdirTemp("", "fcv-bench-cache")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(diskDir)
-	for r := 0; r < *reps; r++ {
-		if err := os.RemoveAll(diskDir); err != nil {
-			return err
-		}
+	var diskOpts fleet.Options
+	openDisk := func(o *obs.Collector) error {
 		dc, err := fleet.OpenDiskCache(diskDir)
 		if err != nil {
 			return err
 		}
-		o := opts(1)
-		o.Obs, o.DiskCache = nil, dc
-		t0 := obs.Now()
-		fleet.Verify(items, o)
-		if rate := float64(len(items)) / obs.Now().Sub(t0).Seconds(); rate > m.DiskColdDesignsPerSec {
-			m.DiskColdDesignsPerSec = rate
+		diskOpts = fleet.Options{
+			Core:      core.Options{Proc: process.CMOS075()},
+			Workers:   1,
+			Cache:     fleet.NewCache(),
+			DiskCache: dc,
+			Obs:       o,
 		}
-		dcw, err := fleet.OpenDiskCache(diskDir)
-		if err != nil {
-			return err
-		}
-		ow := opts(1)
-		ow.Obs, ow.DiskCache = nil, dcw
-		t0 = obs.Now()
-		fleet.Verify(items, ow)
-		if rate := float64(len(items)) / obs.Now().Sub(t0).Seconds(); rate > m.DiskWarmDesignsPerSec {
-			m.DiskWarmDesignsPerSec = rate
-		}
+		return nil
 	}
-	if m.DiskColdDesignsPerSec > 0 {
-		m.DiskWarmSpeedup = m.DiskWarmDesignsPerSec / m.DiskColdDesignsPerSec
+	var coldRep *fleet.Report
+	m.DiskColdDesignsPerSec, err = bestRate(*reps, float64(len(items)),
+		func(r int) error {
+			if err := os.RemoveAll(diskDir); err != nil {
+				return err
+			}
+			return openDisk(first(r))
+		},
+		func(r int) error {
+			if rep := fleet.Verify(items, diskOpts); r == 0 {
+				coldRep = rep
+			}
+			return nil
+		})
+	if err != nil {
+		return err
 	}
+	m.DiskWarmDesignsPerSec, err = bestRate(*reps, float64(len(items)),
+		func(int) error { return openDisk(nil) },
+		func(int) error { fleet.Verify(items, diskOpts); return nil })
+	if err != nil {
+		return err
+	}
+	m.DiskWarmSpeedup = m.DiskWarmDesignsPerSec / m.DiskColdDesignsPerSec
 
-	// Hierarchical incremental verification on the deep-tree corpus: one
-	// cold pass builds the whole hierarchy against an empty cache; warm
-	// passes re-verify scripted one-leaf edits (each rep a distinct
-	// tweak, so every pass honestly misses the edited leaf plus its root
-	// path) against the shared cache. Their ratio is the edit-one-leaf
+	// Hierarchical incremental verification on the deep-tree corpus: cold
+	// passes build the whole hierarchy against an empty cache; warm
+	// passes re-verify scripted one-leaf edits (each a distinct tweak, so
+	// every pass honestly misses the edited leaf plus its root path)
+	// against one shared cache. Their ratio is the edit-one-leaf
 	// incremental win.
 	const hierLevels, hierVariants = 3, 20
 	hierOpts := func(c *fleet.Cache) fleet.Options {
@@ -393,118 +328,40 @@ func runBench(args []string, out *os.File) error {
 			Cache:   c,
 		}
 	}
-	for r := 0; r < *reps; r++ {
-		lib, top := designs.DeepTree(hierLevels, hierVariants, 0)
-		t0 := obs.Now()
-		if _, err := fleet.VerifyHier(lib, lib.Cell(top), hierOpts(fleet.NewCache())); err != nil {
+	var lib *netlist.Library
+	var top string
+	m.HierColdDesignsPerSec, err = bestRate(*reps, 1,
+		func(int) error { lib, top = designs.DeepTree(hierLevels, hierVariants, 0); return nil },
+		func(int) error {
+			_, err := fleet.VerifyHier(lib, lib.Cell(top), hierOpts(fleet.NewCache()))
 			return err
-		}
-		if rate := 1 / obs.Now().Sub(t0).Seconds(); rate > m.HierColdDesignsPerSec {
-			m.HierColdDesignsPerSec = rate
-		}
+		})
+	if err != nil {
+		return err
 	}
 	hierCache := fleet.NewCache()
-	{
-		lib, top := designs.DeepTree(hierLevels, hierVariants, 0)
-		if _, err := fleet.VerifyHier(lib, lib.Cell(top), hierOpts(hierCache)); err != nil {
+	lib, top = designs.DeepTree(hierLevels, hierVariants, 0)
+	if _, err := fleet.VerifyHier(lib, lib.Cell(top), hierOpts(hierCache)); err != nil {
+		return err
+	}
+	m.HierEditOneLeafReverifyPerSec, err = bestRate(max(2**reps, 6), 1,
+		func(i int) error {
+			lib, top = designs.DeepTree(hierLevels, hierVariants, 0.1+0.01*float64(i))
+			return nil
+		},
+		func(int) error {
+			_, err := fleet.VerifyHier(lib, lib.Cell(top), hierOpts(hierCache))
 			return err
-		}
-	}
-	hierEdits := 2 * *reps
-	if hierEdits < 6 {
-		hierEdits = 6
-	}
-	for i := 0; i < hierEdits; i++ {
-		lib, top := designs.DeepTree(hierLevels, hierVariants, 0.1+0.01*float64(i))
-		t0 := obs.Now()
-		if _, err := fleet.VerifyHier(lib, lib.Cell(top), hierOpts(hierCache)); err != nil {
-			return err
-		}
-		if rate := 1 / obs.Now().Sub(t0).Seconds(); rate > m.HierEditOneLeafReverifyPerSec {
-			m.HierEditOneLeafReverifyPerSec = rate
-		}
-	}
-	if m.HierColdDesignsPerSec > 0 {
-		m.HierIncrementalSpeedup = m.HierEditOneLeafReverifyPerSec / m.HierColdDesignsPerSec
-	}
-
-	// Hot-kernel allocations per op, on the same workloads the
-	// per-package alloc-regression tests pin.
-	fpc := designs.SRAMArray(32, 16, 0)
-	m.AllocsFingerprint = testing.AllocsPerRun(5, func() { fpc.Fingerprint() })
-	rcc := designs.SRAMArray(32, 16, 0)
-	m.AllocsRecognize = testing.AllocsPerRun(5, func() {
-		if _, err := recognize.Analyze(rcc); err != nil {
-			panic(err)
-		}
-	})
-	trec, err := recognize.Analyze(designs.LatchPipeline(6, false))
+		})
 	if err != nil {
 		return err
 	}
-	topt := timing.Options{Proc: process.CMOS075(), Clock: timing.TwoPhase(3000)}
-	m.AllocsTiming = testing.AllocsPerRun(5, func() {
-		if _, err := timing.Analyze(trec, topt); err != nil {
-			panic(err)
-		}
-	})
-	ssim, err := switchsim.New(designs.DominoAdder(16))
-	if err != nil {
-		return err
-	}
-	ssim.Settle()
-	si := 0
-	m.AllocsSettle = testing.AllocsPerRun(10, func() {
-		ssim.SetQuiet("phi", switchsim.Lo)
-		ssim.Settle()
-		ssim.SetQuiet("a0", switchsim.Bool(si%2 == 0))
-		ssim.SetQuiet("b0", switchsim.Hi)
-		ssim.SetQuiet("phi", switchsim.Hi)
-		ssim.Settle()
-		si++
-	})
-
-	// HTTP daemon throughput and latency under concurrent clients. Best
-	// rate over -reps, like every other throughput here; the latency
-	// quantiles follow the winning rep so the numbers describe one run.
-	if *serveLoad {
-		if *serveClients < 1 {
-			*serveClients = 1
-		}
-		if *serveReqs < 1 {
-			*serveReqs = 1
-		}
-		for r := 0; r < *reps; r++ {
-			var sm BenchMetrics
-			if err := benchServe(&sm, *serveClients, *serveReqs); err != nil {
-				return err
-			}
-			if sm.ServeRequestsPerSec > m.ServeRequestsPerSec {
-				m.ServeClients = sm.ServeClients
-				m.ServeRequestsPerSec = sm.ServeRequestsPerSec
-				m.ServeP50MS = sm.ServeP50MS
-				m.ServeP99MS = sm.ServeP99MS
-			}
-		}
-	}
-
-	// Warm-cache hit rate: verify a large SRAM once, then re-verify.
-	sram := []fleet.Item{{Name: "sram64x32", Circuit: designs.SRAMArray(64, 32, 0)}}
-	warm := opts(1)
-	fleet.Verify(sram, warm)
-	second := fleet.Verify(sram, warm)
-	if second.Hits+second.Misses > 0 {
-		m.CacheHitPct = 100 * float64(second.Hits) / float64(second.Hits+second.Misses)
-	}
+	m.HierIncrementalSpeedup = m.HierEditOneLeafReverifyPerSec / m.HierColdDesignsPerSec
 
 	if *manifestPath != "" {
-		// The manifest's corpus half comes from the cold -j 1 pass; the
-		// headline metrics ride along as gauges so the trend tooling
-		// can read everything from one artifact.
+		// The metrics ride along as gauges so the trend tooling can read
+		// everything from one artifact.
 		col.SetGauge("bench.rtl_cycles_per_sec", m.RTLCyclesPerSec)
-		col.SetGauge("bench.fleet_designs_per_sec_j1", m.FleetDesignsPerSecJ1)
-		col.SetGauge("bench.fleet_designs_per_sec_jn", m.FleetDesignsPerSecJN)
-		col.SetGauge("bench.cache_hit_pct", m.CacheHitPct)
 		col.SetGauge("bench.disk_cold_designs_per_sec", m.DiskColdDesignsPerSec)
 		col.SetGauge("bench.disk_warm_designs_per_sec", m.DiskWarmDesignsPerSec)
 		col.SetGauge("bench.vectors_per_sec", m.VectorsPerSec)
@@ -514,11 +371,6 @@ func runBench(args []string, out *os.File) error {
 		col.SetGauge("bench.hier_cold_designs_per_sec", m.HierColdDesignsPerSec)
 		col.SetGauge("bench.hier_edit_one_leaf_reverify_per_sec", m.HierEditOneLeafReverifyPerSec)
 		col.SetGauge("bench.hier_incremental_speedup", m.HierIncrementalSpeedup)
-		if m.ServeRequestsPerSec > 0 {
-			col.SetGauge("bench.serve_requests_per_sec", m.ServeRequestsPerSec)
-			col.SetGauge("bench.serve_p50_ms", m.ServeP50MS)
-			col.SetGauge("bench.serve_p99_ms", m.ServeP99MS)
-		}
 		mf := buildManifest("fcv bench", coldRep, col)
 		mf.WallMS = float64(obs.Now().Sub(benchStart).Microseconds()) / 1000
 		if err := mf.WriteFile(*manifestPath); err != nil {
@@ -541,13 +393,9 @@ func runBench(args []string, out *os.File) error {
 	if err := obs.WriteFileAtomic(*outPath, b); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "bench: rtl=%.0f cycles/sec, lanes=%.0f vectors/sec (%.1fx scalar), %.3g cycles/day at %d block workers (%.2fx serial), fleet j1=%.1f jN=%.1f designs/sec (%.2fx at %d workers), cache hit=%.0f%%, disk warm=%.2fx -> %s\n",
-		m.RTLCyclesPerSec, m.VectorsPerSec, m.LaneParallelSpeedup, m.CyclesPerDay, m.LaneBlockWorkers, m.LaneBlockSpeedup, m.FleetDesignsPerSecJ1, m.FleetDesignsPerSecJN, m.FleetSpeedup, m.FleetWorkersJN, m.CacheHitPct, m.DiskWarmSpeedup, *outPath)
+	fmt.Fprintf(out, "bench: rtl=%.0f cycles/sec, lanes=%.0f vectors/sec (%.1fx scalar), %.3g cycles/day at %d block workers (%.2fx serial), disk warm=%.2fx -> %s\n",
+		m.RTLCyclesPerSec, m.VectorsPerSec, m.LaneParallelSpeedup, m.CyclesPerDay, m.LaneBlockWorkers, m.LaneBlockSpeedup, m.DiskWarmSpeedup, *outPath)
 	fmt.Fprintf(out, "bench: hier cold=%.1f designs/sec, edit-one-leaf warm=%.1f designs/sec (%.1fx incremental)\n",
 		m.HierColdDesignsPerSec, m.HierEditOneLeafReverifyPerSec, m.HierIncrementalSpeedup)
-	if m.ServeRequestsPerSec > 0 {
-		fmt.Fprintf(out, "bench: serve %d clients: %.1f req/sec, p50=%.1fms p99=%.1fms\n",
-			m.ServeClients, m.ServeRequestsPerSec, m.ServeP50MS, m.ServeP99MS)
-	}
 	return nil
 }

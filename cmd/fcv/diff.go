@@ -224,8 +224,7 @@ func (d *manifestDiff) render(w io.Writer) {
 //
 //	fcv diff <baseline.json> <current.json>
 //
-// Both arguments are run manifests (v2, or legacy v1 — v1 manifests
-// carry no findings, so only counters and stages diff). Exit codes:
+// Both arguments are run manifests. Exit codes:
 // 0 no new findings, 1 new findings appeared, 2 operational failure
 // (unreadable or invalid manifest). Fixed and changed findings are
 // reported but never fail the gate; neither do counter or duration

@@ -372,7 +372,7 @@ func TestTrendMetricKeyDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	cur := writeMetrics(t, dir, "cur.json", BenchMetrics{
-		RTLCyclesPerSec: 900, FleetDesignsPerSecJ1: 100, FleetDesignsPerSecJN: 400,
+		RTLCyclesPerSec: 900, VectorsPerSec: 100, CyclesPerDay: 400,
 	})
 	outFile, err := os.CreateTemp(dir, "trendout")
 	if err != nil {
@@ -424,53 +424,5 @@ func TestTrendWatchesLaneMetrics(t *testing.T) {
 	defer outFile.Close()
 	if err := runTrend([]string{"-baseline", base, cur}, outFile); !errors.Is(err, errTrendRegression) {
 		t.Errorf("lane-metric regression = %v, want errTrendRegression", err)
-	}
-}
-
-// TestTrendWatchesServeMetrics pins the serve load-test keys into the
-// gate: throughput in the higher-is-better set, latency quantiles in
-// the lower-is-better set where a RISE past tolerance fails. Latencies
-// judged with the throughput inequality would wave every slowdown
-// through, so the direction is asserted both ways.
-func TestTrendWatchesServeMetrics(t *testing.T) {
-	watched := map[string]bool{}
-	for _, k := range trendMetrics {
-		watched[k] = true
-	}
-	if !watched["serve_requests_per_sec"] {
-		t.Error("trendMetrics does not watch serve_requests_per_sec")
-	}
-	lower := map[string]bool{}
-	for _, k := range trendLowerBetter {
-		lower[k] = true
-	}
-	for _, k := range []string{"serve_p50_ms", "serve_p99_ms"} {
-		if !lower[k] {
-			t.Errorf("trendLowerBetter does not watch %q", k)
-		}
-	}
-	dir := t.TempDir()
-	base := filepath.Join(dir, "base.json")
-	if err := os.WriteFile(base, []byte(`{"serve_p99_ms": 100}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	outFile, err := os.CreateTemp(dir, "trendout")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer outFile.Close()
-	slow := filepath.Join(dir, "slow.json")
-	if err := os.WriteFile(slow, []byte(`{"serve_p99_ms": 200}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := runTrend([]string{"-baseline", base, slow}, outFile); !errors.Is(err, errTrendRegression) {
-		t.Errorf("p99 doubling = %v, want errTrendRegression", err)
-	}
-	fast := filepath.Join(dir, "fast.json")
-	if err := os.WriteFile(fast, []byte(`{"serve_p99_ms": 10}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := runTrend([]string{"-baseline", base, fast}, outFile); err != nil {
-		t.Errorf("p99 improvement failed the gate: %v", err)
 	}
 }

@@ -17,8 +17,8 @@ func buildManifest(tool string, rep *fleet.Report, col *obs.Collector) *obs.Mani
 }
 
 // runManifestCheck is the manifest-check subcommand: validate a run
-// manifest against the fcv-run-manifest/v2 schema (legacy v1 documents
-// validate through the frozen compat reader).
+// manifest against the fcv-run-manifest/v2 schema; any other schema ID
+// is a violation.
 //
 //	fcv manifest-check <manifest.json>
 //	fcv manifest-check -print-schema

@@ -213,12 +213,12 @@ func TestTrendGate(t *testing.T) {
 	}
 	defer devnull.Close()
 	base := writeMetrics(t, dir, "base.json", BenchMetrics{
-		RTLCyclesPerSec: 1000, FleetDesignsPerSecJ1: 100, FleetDesignsPerSecJN: 400,
+		RTLCyclesPerSec: 1000, VectorsPerSec: 100, CyclesPerDay: 400,
 	})
 
 	// 20% drop: inside ±30%, passes.
 	ok := writeMetrics(t, dir, "ok.json", BenchMetrics{
-		RTLCyclesPerSec: 800, FleetDesignsPerSecJ1: 90, FleetDesignsPerSecJN: 500,
+		RTLCyclesPerSec: 800, VectorsPerSec: 90, CyclesPerDay: 500,
 	})
 	if err := runTrend([]string{"-baseline", base, ok}, devnull); err != nil {
 		t.Errorf("within-tolerance run failed: %v", err)
@@ -226,7 +226,7 @@ func TestTrendGate(t *testing.T) {
 
 	// 50% drop on one metric: regression.
 	badPath := writeMetrics(t, dir, "bad.json", BenchMetrics{
-		RTLCyclesPerSec: 500, FleetDesignsPerSecJ1: 100, FleetDesignsPerSecJN: 400,
+		RTLCyclesPerSec: 500, VectorsPerSec: 100, CyclesPerDay: 400,
 	})
 	err = runTrend([]string{"-baseline", base, badPath}, devnull)
 	if !errors.Is(err, errTrendRegression) {
@@ -287,5 +287,10 @@ func TestBenchManifest(t *testing.T) {
 	}
 	if m.Tool != "fcv bench" {
 		t.Errorf("tool = %q", m.Tool)
+	}
+	// The corpus half is the first cold disk-cache pass: every item a
+	// disk miss.
+	if n := len(benchZoo()); len(m.Items) != n || m.Counters["fleet.diskcache.miss"] != int64(n) {
+		t.Errorf("corpus half: %d items, %d disk misses, want %d each", len(m.Items), m.Counters["fleet.diskcache.miss"], n)
 	}
 }

@@ -315,8 +315,7 @@ func barPx(v, max float64) float64 {
 // Renders per-cell stage waterfalls, the slowest cells, the cache hit
 // ratio, duration-histogram percentiles and the findings grouped by
 // check with their evidence — as text (default) or one self-contained
-// static HTML page (-html). Legacy v1 manifests render without
-// findings and histograms. Exit codes: 0 rendered, 2 operational
+// static HTML page (-html). Exit codes: 0 rendered, 2 operational
 // failure; the report never gates (use `fcv diff` for gating).
 func runReport(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("report", flag.ContinueOnError)

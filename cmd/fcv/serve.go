@@ -18,6 +18,29 @@ import (
 	"repro/internal/timing"
 )
 
+// Daemon connection timeouts. ReadHeaderTimeout stops a client that
+// trickles its headers from holding a goroutine forever; ReadTimeout
+// covers reading the largest accepted body (serve.Config.MaxBodyBytes,
+// 16 MiB by default); IdleTimeout closes parked keep-alive connections.
+// There is deliberately no WriteTimeout: it would cut ?stream=1
+// responses and long verifications mid-answer.
+const (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveReadTimeout       = 60 * time.Second
+	serveIdleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer wraps the daemon handler in an http.Server with the
+// connection timeouts above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		ReadTimeout:       serveReadTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
+}
+
 // runServe is the serve subcommand: the long-lived verification daemon.
 //
 //	fcv serve [-addr 127.0.0.1:8117] [-pool N] [-queue N] [-cache-dir d] [-lint] [-paths]
@@ -81,7 +104,7 @@ func runServe(args []string, proc *process.Process, period float64, out *os.File
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv}
+	hs := newHTTPServer(srv)
 	// The "listening" line is the startup handshake: CI and scripts wait
 	// for it (or poll /healthz) before sending traffic.
 	fmt.Fprintf(out, "fcv serve: listening on http://%s\n", ln.Addr())

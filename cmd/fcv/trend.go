@@ -16,8 +16,6 @@ import (
 // instead of read as a zero and misjudged.
 var trendMetrics = []string{
 	"rtl_cycles_per_sec",
-	"fleet_designs_per_sec_j1",
-	"fleet_designs_per_sec_jn",
 	"vectors_per_sec",
 	"cycles_per_day",
 	"lane_parallel_speedup",
@@ -25,17 +23,6 @@ var trendMetrics = []string{
 	"hier_cold_designs_per_sec",
 	"hier_edit_one_leaf_reverify_per_sec",
 	"hier_incremental_speedup",
-	"serve_requests_per_sec",
-}
-
-// trendLowerBetter are the watched keys where lower is better — the
-// serve latency quantiles. A regression is the current value rising
-// more than the tolerance above the baseline. They ride the same
-// key-drift skip, so plain `fcv bench` artifacts (no -serve, keys
-// absent via omitempty) pass through the gate untouched.
-var trendLowerBetter = []string{
-	"serve_p50_ms",
-	"serve_p99_ms",
 }
 
 // runTrend is the bench-trend gate: compare the current BENCH_fleet
@@ -73,42 +60,31 @@ func runTrend(args []string, out *os.File) error {
 	tol := *tolPct / 100
 	var regressions int
 	fmt.Fprintf(out, "trend: %s vs baseline %s (tolerance ±%.0f%%)\n", rest[0], *baselinePath, *tolPct)
-	check := func(name string, lowerBetter bool) {
+	for _, name := range trendMetrics {
 		b, bok := base[name]
 		c, cok := cur[name]
 		switch {
 		case !bok && !cok:
 			fmt.Fprintf(out, "  %-26s absent from both files, skipped (metric-key drift)\n", name)
-			return
+			continue
 		case !bok:
 			fmt.Fprintf(out, "  %-26s missing from baseline, skipped (metric-key drift)\n", name)
-			return
+			continue
 		case !cok:
 			fmt.Fprintf(out, "  %-26s missing from current metrics, skipped (metric-key drift)\n", name)
-			return
+			continue
 		}
 		if b <= 0 {
 			fmt.Fprintf(out, "  %-26s baseline empty, skipped\n", name)
-			return
+			continue
 		}
 		delta := (c - b) / b * 100
 		status := "ok"
-		if lowerBetter {
-			if c > b*(1+tol) {
-				status = "REGRESSION"
-				regressions++
-			}
-		} else if c < b*(1-tol) {
+		if c < b*(1-tol) {
 			status = "REGRESSION"
 			regressions++
 		}
 		fmt.Fprintf(out, "  %-26s %12.1f -> %12.1f  %+7.1f%%  %s\n", name, b, c, delta, status)
-	}
-	for _, name := range trendMetrics {
-		check(name, false)
-	}
-	for _, name := range trendLowerBetter {
-		check(name, true)
 	}
 	if regressions > 0 {
 		return fmt.Errorf("%w: %d metric(s) regressed more than %.0f%% past baseline", errTrendRegression, regressions, *tolPct)

@@ -95,11 +95,12 @@ type Options struct {
 	// core.Verify, so CPU profiles attribute samples to cells and
 	// pipeline stages.
 	PprofLabels bool
-	// KeySalt is appended to the configuration cache key. Runs whose
+	// keySalt is appended to the configuration cache key. Runs whose
 	// items are not interchangeable with plain whole-netlist results —
 	// hierarchical subcell scopes — salt the key so the two families
-	// never share cache entries.
-	KeySalt string
+	// never share cache entries. Only VerifyHier sets it: a salt from
+	// outside could alias entries across item families.
+	keySalt string
 	// HierInline is the VerifyHier inlining cutoff: cells whose fully
 	// flattened device count is at or below it are folded into their
 	// parent's verification scope instead of getting their own cache
@@ -261,7 +262,7 @@ func Verify(items []Item, opt Options) *Report {
 		Workers: workers,
 	}
 	start := obs.Now()
-	cfg := configKey(&opt.Core) + opt.KeySalt
+	cfg := configKey(&opt.Core) + opt.keySalt
 	rep.ConfigKey = cfg
 	// Per-item spans are pre-created in input order under the run's
 	// root span so the trace tree is deterministic no matter which

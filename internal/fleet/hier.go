@@ -145,7 +145,7 @@ func VerifyHier(lib *netlist.Library, top *netlist.Circuit, opt Options) (*Repor
 	// -hier-inline values sharing a cache dir — or daemon requests with
 	// different ?hier_inline — would alias entries for materially
 	// different circuits and silently replay wrong verdicts.
-	opt.KeySalt += fmt.Sprintf("%s|inline=%d", HierKeySalt, cutoff)
+	opt.keySalt = fmt.Sprintf("%s|inline=%d", HierKeySalt, cutoff)
 	rep := Verify(items, opt)
 
 	// Port interfaces, memoized on (DAG, cutoff) across runs: resolving

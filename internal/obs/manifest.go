@@ -10,12 +10,8 @@ import (
 // SchemaID identifies the manifest's wire format. Bump only with a
 // schema change; the golden-file test pins the full schema document.
 // v2 added per-item finding provenance (stable IDs + evidence) and
-// duration histograms; v1 documents still validate through the compat
-// reader (see ValidateManifest).
+// duration histograms; any other schema ID is rejected.
 const SchemaID = "fcv-run-manifest/v2"
-
-// SchemaIDV1 is the previous wire format, accepted read-only.
-const SchemaIDV1 = "fcv-run-manifest/v1"
 
 // Manifest is the machine-readable record of one verification or bench
 // run — the "reproducible, machine-readable performance evidence" layer.
@@ -357,29 +353,6 @@ var findingSeverities = map[string]bool{
 	"inspect": true, "violation": true, "warn": true, "error": true,
 }
 
-// The frozen v1 shape, kept verbatim so old manifests (CI artifacts,
-// committed baselines) stay readable: no histograms, no item findings.
-var manifestFieldsV1 = []manifestField{
-	{"schema", "string"},
-	{"tool", "string"},
-	{"config_key", "string"},
-	{"workers", "integer"},
-	{"wall_ms", "number"},
-	{"items", "array"},
-	{"stages", "array"},
-	{"counters", "object"},
-	{"gauges", "object"},
-	{"verdicts", "object"},
-}
-
-var itemFieldsV1 = []manifestField{
-	{"name", "string"},
-	{"fingerprint", "string"},
-	{"verdict", "string"},
-	{"cached", "boolean"},
-	{"elapsed_ms", "number"},
-}
-
 // SchemaJSON returns the manifest's JSON Schema (draft-07) document,
 // generated from the same field tables the validator uses so the two
 // cannot drift. The output is deterministic (map keys marshal sorted)
@@ -462,10 +435,9 @@ func SchemaJSON() []byte {
 
 // ValidateManifest checks a manifest document against its schema: all
 // required fields present with the right types, no unknown fields, the
-// schema identifier known, item verdicts and finding severities from
-// their enums, and tallies non-negative. Both the current v2 shape and
-// the frozen v1 shape are accepted; anything else is rejected with the
-// offending field path named. It is the `fcv manifest-check` engine.
+// schema identifier SchemaID, item verdicts and finding severities from
+// their enums, and tallies non-negative. Anything else is rejected with
+// the offending field path named. It is the `fcv manifest-check` engine.
 func ValidateManifest(data []byte) error {
 	var doc map[string]any
 	if err := json.Unmarshal(data, &doc); err != nil {
@@ -478,13 +450,10 @@ func ValidateManifest(data []byte) error {
 	if !ok {
 		return fmt.Errorf("manifest: schema: missing or not a string")
 	}
-	switch id {
-	case SchemaID:
-		return validateV2(doc)
-	case SchemaIDV1:
-		return validateV1(doc)
+	if id != SchemaID {
+		return fmt.Errorf("manifest: schema %q, want %q", id, SchemaID)
 	}
-	return fmt.Errorf("manifest: schema %q, want %q (or legacy %q)", id, SchemaID, SchemaIDV1)
+	return validateV2(doc)
 }
 
 // validateV2 enforces the current wire format.
@@ -552,33 +521,6 @@ func validateV2(doc map[string]any) error {
 			}
 		}
 	}
-	return validateShared(doc)
-}
-
-// validateV1 enforces the frozen v1 shape (the compat reader).
-func validateV1(doc map[string]any) error {
-	if err := checkObject("manifest", doc, manifestFieldsV1); err != nil {
-		return err
-	}
-	for i, el := range doc["items"].([]any) {
-		it, ok := el.(map[string]any)
-		if !ok {
-			return fmt.Errorf("manifest: items[%d]: not an object", i)
-		}
-		ctx := fmt.Sprintf("items[%d]", i)
-		if err := checkObject(ctx, it, itemFieldsV1); err != nil {
-			return err
-		}
-		if v := it["verdict"].(string); !itemVerdicts[v] {
-			return fmt.Errorf("manifest: %s.verdict: unknown verdict %q", ctx, v)
-		}
-	}
-	return validateShared(doc)
-}
-
-// validateShared checks the parts common to both versions: stages,
-// counters, gauges and the verdict tally.
-func validateShared(doc map[string]any) error {
 	for i, el := range doc["stages"].([]any) {
 		st, ok := el.(map[string]any)
 		if !ok {
@@ -614,9 +556,8 @@ func validateShared(doc map[string]any) error {
 	return nil
 }
 
-// ParseManifest validates a manifest document (v2 or legacy v1) and
-// decodes it into the in-memory form. v1 documents come back with
-// empty Findings and Histograms — readable, just without provenance.
+// ParseManifest validates a manifest document and decodes it into the
+// in-memory form.
 func ParseManifest(data []byte) (*Manifest, error) {
 	if err := ValidateManifest(data); err != nil {
 		return nil, err
@@ -624,9 +565,6 @@ func ParseManifest(data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("manifest: %w", err)
-	}
-	if m.Histograms == nil {
-		m.Histograms = map[string]Histogram{}
 	}
 	return &m, nil
 }

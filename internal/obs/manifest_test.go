@@ -120,7 +120,7 @@ func TestValidateRejects(t *testing.T) {
 			d["counters"].(map[string]any)["fleet.cache.hits"] = 1.5
 		}), "counters[\"fleet.cache.hits\"]: not an integer"},
 		{"unknown field", mutate(func(d map[string]any) { d["extra"] = 1 }), "unknown field"},
-		{"stale schema id", mutate(func(d map[string]any) { d["schema"] = "fcv-run-manifest/v0" }), "want \"fcv-run-manifest/v2\" (or legacy \"fcv-run-manifest/v1\")"},
+		{"stale schema id", mutate(func(d map[string]any) { d["schema"] = "fcv-run-manifest/v0" }), "schema \"fcv-run-manifest/v0\", want \"fcv-run-manifest/v2\""},
 		{"bad verdict", mutate(func(d map[string]any) {
 			d["items"].([]any)[0].(map[string]any)["verdict"] = "maybe"
 		}), "items[0].verdict: unknown verdict"},
@@ -157,11 +157,10 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
-// TestValidateV1Compat pins the compat reader: a frozen v1-shaped
-// document (no histograms, no per-item findings) must keep validating
-// and parsing, so committed baselines and old CI artifacts stay
-// diffable.
-func TestValidateV1Compat(t *testing.T) {
+// TestValidateRejectsV1 pins that the retired v1 wire format (no
+// histograms, no per-item findings) is rejected, by both the validator
+// and the parser, with an error naming the schema it was given.
+func TestValidateRejectsV1(t *testing.T) {
 	v1 := []byte(`{
   "schema": "fcv-run-manifest/v1",
   "tool": "fcv verify",
@@ -182,23 +181,11 @@ func TestValidateV1Compat(t *testing.T) {
   "gauges": {"fleet.workers": 2},
   "verdicts": {"pass": 1, "inspect": 0, "violation": 0, "error": 0}
 }`)
-	if err := ValidateManifest(v1); err != nil {
-		t.Fatalf("v1 manifest rejected: %v", err)
+	if err := ValidateManifest(v1); err == nil || !strings.Contains(err.Error(), `"fcv-run-manifest/v1"`) {
+		t.Errorf("v1 manifest: ValidateManifest error %v, want one naming fcv-run-manifest/v1", err)
 	}
-	m, err := ParseManifest(v1)
-	if err != nil {
-		t.Fatalf("v1 manifest failed to parse: %v", err)
-	}
-	if m.Schema != SchemaIDV1 || len(m.Items) != 1 || m.Items[0].Name != "cellA" {
-		t.Errorf("v1 parse mismatch: %+v", m)
-	}
-	if m.Histograms == nil {
-		t.Error("v1 parse left Histograms nil")
-	}
-	// A v1 document must not smuggle v2 fields past the frozen reader.
-	bad := bytes.Replace(v1, []byte(`"elapsed_ms": 1.2`), []byte(`"elapsed_ms": 1.2, "findings": []`), 1)
-	if err := ValidateManifest(bad); err == nil {
-		t.Error("v1 manifest with v2 field accepted")
+	if _, err := ParseManifest(v1); err == nil || !strings.Contains(err.Error(), `"fcv-run-manifest/v1"`) {
+		t.Errorf("v1 manifest: ParseManifest error %v, want one naming fcv-run-manifest/v1", err)
 	}
 }
 

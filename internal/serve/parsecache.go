@@ -39,8 +39,7 @@ type parseEntry struct {
 	top   *netlist.Circuit
 }
 
-// newParseCache builds a cache holding up to max decks. max <= 0
-// disables caching (every get misses, puts are dropped).
+// newParseCache builds a cache holding up to max decks.
 func newParseCache(max int) *parseCache {
 	return &parseCache{
 		max:     max,
@@ -51,9 +50,6 @@ func newParseCache(max int) *parseCache {
 
 // get returns the cached parse for key, refreshing its recency.
 func (c *parseCache) get(key string) ([]fleet.Item, bool) {
-	if c == nil || c.max <= 0 {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -67,9 +63,6 @@ func (c *parseCache) get(key string) ([]fleet.Item, bool) {
 // getHier returns the cached hierarchical parse for key, refreshing
 // its recency.
 func (c *parseCache) getHier(key string) (*netlist.Library, *netlist.Circuit, bool) {
-	if c == nil || c.max <= 0 {
-		return nil, nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -93,9 +86,6 @@ func (c *parseCache) putHier(key string, lib *netlist.Library, top *netlist.Circ
 }
 
 func (c *parseCache) putEntry(e *parseEntry) {
-	if c == nil || c.max <= 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[e.key]; ok {
@@ -113,9 +103,6 @@ func (c *parseCache) putEntry(e *parseEntry) {
 
 // len reports the current entry count (for tests and /stats).
 func (c *parseCache) len() int {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()

@@ -16,8 +16,8 @@ func parseItems(t *testing.T, deck string) []fleet.Item {
 	return items
 }
 
-// TestParseCacheLRU exercises the unit: hit after put, recency refresh,
-// LRU eviction, and the disabled (max<=0) mode.
+// TestParseCacheLRU exercises the unit: hit after put, recency refresh
+// and LRU eviction.
 func TestParseCacheLRU(t *testing.T) {
 	items := parseItems(t, cleanDeck)
 	c := newParseCache(2)
@@ -40,15 +40,6 @@ func TestParseCacheLRU(t *testing.T) {
 	if c.len() != 2 {
 		t.Errorf("len = %d, want 2", c.len())
 	}
-
-	off := newParseCache(-1)
-	off.put("a", items)
-	if _, ok := off.get("a"); ok {
-		t.Error("disabled cache returned a hit")
-	}
-	if off.len() != 0 {
-		t.Error("disabled cache stored an entry")
-	}
 }
 
 // TestParseCacheCountersOnRepeat a byte-identical resubmit is a parse
@@ -67,23 +58,5 @@ func TestParseCacheCountersOnRepeat(t *testing.T) {
 	st = s.StatsNow()
 	if st.Counters["serve.parse_cache.miss"] != 2 {
 		t.Errorf("cells=1 on same bytes missed %d times, want 2 total", st.Counters["serve.parse_cache.miss"])
-	}
-}
-
-// TestParseCacheDisabledConfig ParseCacheSize<0 turns caching off:
-// every request is a miss and the daemon still serves correctly.
-func TestParseCacheDisabledConfig(t *testing.T) {
-	cfg := testConfig()
-	cfg.ParseCacheSize = -1
-	s, hs := newTestServer(t, cfg)
-	postDeck(t, hs.URL+"/verify", cleanDeck)
-	postDeck(t, hs.URL+"/verify", cleanDeck)
-	st := s.StatsNow()
-	if st.Counters["serve.parse_cache.hit"] != 0 || st.Counters["serve.parse_cache.miss"] != 2 {
-		t.Errorf("disabled cache hit=%d miss=%d, want 0/2",
-			st.Counters["serve.parse_cache.hit"], st.Counters["serve.parse_cache.miss"])
-	}
-	if st.Served != 2 {
-		t.Errorf("served = %d", st.Served)
 	}
 }

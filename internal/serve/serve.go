@@ -93,12 +93,14 @@ type Config struct {
 	// request slower than this many milliseconds in the slow-trace ring
 	// (GET /debug/traces). 0 disables capture.
 	SlowMS float64
-	// SlowTraceCap bounds the slow-trace ring (0 = 32).
-	SlowTraceCap int
-	// ParseCacheSize bounds the deck parse cache in entries (0 = 64;
-	// negative disables parse caching).
-	ParseCacheSize int
 }
+
+// Bounds on the daemon's retained state: the deck parse cache in
+// entries, and the slow-trace ring in traces.
+const (
+	parseCacheSize = 64
+	slowTraceCap   = 32
+)
 
 // Server is the verification daemon: an http.Handler plus the warm
 // state it keeps between requests. Construct with New.
@@ -141,19 +143,13 @@ func New(cfg Config) *Server {
 	if cfg.Cache == nil {
 		cfg.Cache = fleet.NewCache()
 	}
-	if cfg.SlowTraceCap == 0 {
-		cfg.SlowTraceCap = 32
-	}
-	if cfg.ParseCacheSize == 0 {
-		cfg.ParseCacheSize = 64
-	}
 	s := &Server{
 		cfg:    cfg,
 		pool:   newWorkerPool(cfg.Workers, cfg.Queue),
 		mux:    http.NewServeMux(),
 		col:    obs.New(),
-		parses: newParseCache(cfg.ParseCacheSize),
-		ring:   newTraceRing(cfg.SlowTraceCap),
+		parses: newParseCache(parseCacheSize),
+		ring:   newTraceRing(slowTraceCap),
 		start:  obs.Now(),
 	}
 	s.epoch = s.start.Unix()

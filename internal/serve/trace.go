@@ -97,9 +97,6 @@ func newTraceRing(max int) *traceRing {
 
 // add retains a slow trace, evicting the oldest past capacity.
 func (r *traceRing) add(tr slowTrace) {
-	if r == nil || r.max <= 0 {
-		return
-	}
 	r.mu.Lock()
 	r.traces = append(r.traces, tr)
 	if len(r.traces) > r.max {
