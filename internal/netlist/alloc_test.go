@@ -1,6 +1,7 @@
 package netlist_test
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/designs"
@@ -27,5 +28,33 @@ func TestSignaturesAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(5, func() { _ = netlist.ComputeSignatures(c) })
 	if avg > 100 {
 		t.Fatalf("ComputeSignatures allocates %.0f/op, want <= 100 (seed was ~22000)", avg)
+	}
+}
+
+// Allocation pins for the deck writer and reader on the DeepTree(3, 20)
+// render, the 89 KB deck perfbench's hier-edit loop re-renders and
+// re-parses on every edit. Write appends into one bounded buffer (2
+// allocs; the fmt-based writer made ~18,650). ParseNamed makes one string
+// per logical line plus the circuits' own nodes and devices (7,839; the
+// two-pass parser made ~10,330). Each bound is the measured count plus
+// about 10%.
+func TestDeckIOAllocs(t *testing.T) {
+	lib, _ := designs.DeepTree(3, 20, 0)
+	top := netlist.New("deck")
+	var buf bytes.Buffer
+	if err := netlist.Write(&buf, lib, top); err != nil {
+		t.Fatal(err)
+	}
+	deck := bytes.Clone(buf.Bytes())
+	if avg := testing.AllocsPerRun(5, func() {
+		buf.Reset()
+		_ = netlist.Write(&buf, lib, top)
+	}); avg > 3 {
+		t.Errorf("Write allocates %.0f/op, want <= 3", avg)
+	}
+	if avg := testing.AllocsPerRun(5, func() {
+		_, _, _ = netlist.ParseNamed(bytes.NewReader(deck), "deep_tree.sp")
+	}); avg > 8600 {
+		t.Errorf("ParseNamed allocates %.0f/op, want <= 8600", avg)
 	}
 }

@@ -17,7 +17,6 @@ package netlist
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/process"
 )
@@ -171,13 +170,24 @@ func New(name string) *Circuit {
 }
 
 // canonName lowercases supply aliases so "GND", "gnd" and "vss" share a
-// node; other names are case-sensitive as designers wrote them.
+// node; other names are case-sensitive as designers wrote them. An alias
+// is one or three ASCII bytes, and only ASCII letters lowercase to its
+// letters, so other lengths are never looked at and b|0x20 is an exact
+// lowercase test.
 func canonName(name string) string {
-	switch strings.ToLower(name) {
-	case "vdd", "vcc":
-		return VddName
-	case "vss", "gnd", "0":
-		return VssName
+	switch len(name) {
+	case 1:
+		if name == "0" {
+			return VssName
+		}
+	case 3:
+		b := [3]byte{name[0] | 0x20, name[1] | 0x20, name[2] | 0x20}
+		switch string(b[:]) {
+		case "vdd", "vcc":
+			return VddName
+		case "vss", "gnd":
+			return VssName
+		}
 	}
 	return name
 }
@@ -185,6 +195,12 @@ func canonName(name string) string {
 // Node returns the ID for the named node, creating it if needed.
 func (c *Circuit) Node(name string) NodeID {
 	name = canonName(name)
+	switch {
+	case name == VddName && c.vdd != InvalidNode:
+		return c.vdd
+	case name == VssName && c.vss != InvalidNode:
+		return c.vss
+	}
 	if id, ok := c.index[name]; ok {
 		return id
 	}

@@ -159,6 +159,12 @@ func TestParseErrorsCarryLineNumbers(t *testing.T) {
 		{"c1 a vss\n", "want C"},
 		{"r1 a b xx\n", "bad numeric"},
 		{"x1 inv\n", "want X"},
+		{"m1 y a vss vss nmos w=1e-10 l=1\n", "device m1: w: 1e-10 is not 0 or a finite size of at least 1e-3 µm"},
+		{"m1 y a vss vss nmos w=2 l=1 extral=-1\n", "device m1: extral: -1 is not 0 or a finite size"},
+		{"m1 y a vss vss nmos w=infinity l=1\n", "device m1: w: infinity is not 0 or a finite size"},
+		{"c1 a vss -4f\n", "capacitor c1: value -4f is negative or not finite"},
+		{"r1 a b infinity\n", "resistor r1: value infinity is not finite"},
+		{"*attr a =\n", "*attr a: empty key"},
 	}
 	for _, c := range cases {
 		_, _, err := Parse(strings.NewReader(c.deck))
@@ -199,6 +205,39 @@ func TestCapAttachment(t *testing.T) {
 	}
 	if got := top.Nodes[b].CapFF; math.Abs(got-10) > 1e-9 { // 6 + 8/2
 		t.Errorf("cap(b) = %g, want 10", got)
+	}
+}
+
+// TestCapRoundTrip: a C value converts to fF by its suffix's power of
+// ten relative to femto, so 10f is exactly 10 fF and repeated
+// Write→Parse passes keep every node's CapFF and the Fingerprint.
+func TestCapRoundTrip(t *testing.T) {
+	for _, c := range []struct {
+		value string
+		fF    float64
+	}{{"10f", 10}, {"2.5p", 2500}, {"4.7f", 4.7}, {"33.3f", 33.3}} {
+		_, top, err := Parse(strings.NewReader("m1 y a vss vss nmos w=2 l=0.75\nc1 y vss " + c.value + "\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := top.Nodes[top.FindNode("y")].CapFF; got != c.fF {
+			t.Errorf("%s parses to %v fF, want %v", c.value, got, c.fF)
+		}
+		for pass := 1; pass <= 3; pass++ {
+			var buf bytes.Buffer
+			if err := Write(&buf, nil, top); err != nil {
+				t.Fatal(err)
+			}
+			_, next, err := Parse(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := next.Nodes[next.FindNode("y")].CapFF, top.Nodes[top.FindNode("y")].CapFF
+			if got != want || next.Fingerprint() != top.Fingerprint() {
+				t.Errorf("%s: pass %d moved CapFF %v → %v or the Fingerprint", c.value, pass, want, got)
+			}
+			top = next
+		}
 	}
 }
 

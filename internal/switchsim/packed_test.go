@@ -203,11 +203,14 @@ func runPackedDiff(t *testing.T, c *netlist.Circuit, steps int, seed int64) {
 }
 
 // TestPackedLaneEquivalenceCorpus sweeps the full parametric design
-// corpus.
+// corpus. The designs run in parallel: the two SRAM arrays alone take
+// most of the sweep, and under -race it neared go test's 10-minute
+// per-package default when run serially.
 func TestPackedLaneEquivalenceCorpus(t *testing.T) {
 	for name, ent := range diffCorpus() {
 		name, ent := name, ent
 		t.Run(name, func(t *testing.T) {
+			t.Parallel()
 			steps := ent.steps
 			if testing.Short() {
 				steps = (steps + 2) / 3
