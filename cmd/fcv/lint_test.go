@@ -124,7 +124,8 @@ func TestLintSARIFOutput(t *testing.T) {
 }
 
 // TestLintFlagHandling covers the remaining subcommand surface: JSON
-// format, unknown format, unknown cell, missing deck.
+// format, unknown format, unknown cell, missing deck, a live soup named
+// as the top, and an empty deck.
 func TestLintFlagHandling(t *testing.T) {
 	clean := writeDeck(t, invDeck)
 	out, err := captureLint(t, []string{"-format", "json", clean})
@@ -145,6 +146,16 @@ func TestLintFlagHandling(t *testing.T) {
 	}
 	if _, err := captureLint(t, nil); err == nil {
 		t.Error("missing deck accepted")
+	}
+	// Naming the live soup lints it as the root, as verify does.
+	soup := writeDeck(t, invDeck+"msn vdd vdd vss vss nmos w=2 l=0.75\n")
+	out, err = captureLint(t, []string{soup, "top"})
+	if !errors.Is(err, errLintFindings) || !strings.Contains(out, "FCV003 [top] msn") {
+		t.Errorf("lint soup.sp top: %v, want the soup's FCV003 finding:\n%s", err, out)
+	}
+	// An empty deck has no root: an operational failure (exit 2).
+	if _, err := captureLint(t, []string{writeDeck(t, "* nothing here\n")}); err == nil || isFindings(err) {
+		t.Errorf("empty deck: %v, want an operational failure", err)
 	}
 }
 

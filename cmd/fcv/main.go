@@ -27,7 +27,12 @@
 // 1 when any design is in violation or errors, 2 on operational
 // failure:
 //
-//	fcv verify [-j N] [-cells] [-hier] [-hier-inline N] [-cache] [-cache-dir d] [-lint] [-quiet] [-manifest m.json] [-events e.jsonl] [-trace] [-pprof-labels] <deck.sp>... [top]
+//	fcv verify [-j N] [-cells] [-hier] [-hier-inline N] [-cache-dir d] [-lint] [-quiet] [-manifest m.json] [-events e.jsonl] [-trace] [-pprof-labels] <deck.sp>... [top]
+//
+// Every netlist subcommand, and POST /verify on the daemon, picks a
+// deck's root by one rule (fleet.HierFromDeck): a named top wins — a
+// cell, or "top" for a live top-level element soup — otherwise a live
+// soup is the root, otherwise the last cell in name order.
 //
 // -hier switches a single-deck run to hierarchical incremental
 // verification (fleet.VerifyHier): each subcell above the -hier-inline
@@ -318,11 +323,13 @@ func run(cmd string, args []string) error {
 
 // runVerify is the fleet-backed verify subcommand:
 //
-//	fcv verify [-j N] [-cells] [-cache] [-quiet] <deck.sp>... [top]
+//	fcv verify [-j N] [-cells] [-quiet] <deck.sp>... [top]
 //
 // With one deck it verifies the inferred (or named) top, exactly the old
 // single-design behaviour. With -cells it treats every cell of every
 // deck as a corpus member; with several decks each becomes one item.
+// Results are memoized under structural fingerprints, so twins verify
+// once.
 // Exit codes: 0 all designs pass or need inspection only, 1 any design
 // in violation or erroring, 2 operational failure (bad flags, unreadable
 // deck).
@@ -330,7 +337,6 @@ func runVerify(args []string, proc *process.Process, period float64, out *os.Fil
 	fs := flag.NewFlagSet("verify", flag.ContinueOnError)
 	workers := fs.Int("j", 0, "parallel verification workers (0 = GOMAXPROCS)")
 	cells := fs.Bool("cells", false, "verify every cell of each deck, not just the top")
-	useCache := fs.Bool("cache", true, "memoize results under structural fingerprints")
 	cacheDir := fs.String("cache-dir", os.Getenv("FCV_CACHE_DIR"), "persistent result cache directory (default $FCV_CACHE_DIR; empty = off)")
 	hierMode := fs.Bool("hier", false, "hierarchical incremental verification: key each subcell on its fingerprint DAG and compose parent verdicts (single deck)")
 	hierInline := fs.Int("hier-inline", 0, "fold cells flattening to at most this many devices into their parent's scope (0 = default 16, negative keeps every cell)")
@@ -356,8 +362,8 @@ func runVerify(args []string, proc *process.Process, period float64, out *os.Fil
 			decks = rest[:len(rest)-1]
 		}
 	}
-	if top != "" && (len(decks) > 1 || *cells) {
-		return fmt.Errorf("verify: a top cell name applies to a single deck without -cells")
+	if top != "" && len(decks) > 1 {
+		return fmt.Errorf("verify: a top cell name applies to a single deck")
 	}
 	if *hierMode && (len(decks) > 1 || *cells) {
 		return fmt.Errorf("verify: -hier applies to a single deck without -cells")
@@ -367,44 +373,21 @@ func runVerify(args []string, proc *process.Process, period float64, out *os.Fil
 		if *hierMode {
 			break // the hierarchy is resolved below, unflattened
 		}
-		if *cells {
-			lib, soup, err := netlist.ParseFile(deck)
-			if err != nil {
-				return err
-			}
-			if len(soup.Devices) > 0 || len(soup.Instances) > 0 || len(soup.Resistors) > 0 {
-				lib.Add(soup)
-			}
-			cellItems, errs := fleet.CorpusFromLibrary(lib)
-			for _, e := range errs {
-				return e
-			}
-			for _, it := range cellItems {
-				items = append(items, fleet.Item{Name: deck + ":" + it.Name, Circuit: it.Circuit})
-			}
-			continue
-		}
-		largs := []string{deck}
-		if top != "" {
-			largs = append(largs, top)
-		}
-		flat, err := loadFlat(largs)
+		its, err := deckItems(deck, top, *cells)
 		if err != nil {
 			return err
 		}
-		name := flat.Name
-		if len(decks) > 1 {
-			name = deck + ":" + name
+		for _, it := range its {
+			if *cells || len(decks) > 1 {
+				it.Name = deck + ":" + it.Name
+			}
+			items = append(items, it)
 		}
-		items = append(items, fleet.Item{Name: name, Circuit: flat})
 	}
 	opt := fleet.Options{
 		Core:        core.Options{Proc: proc, Clock: timing.TwoPhase(period), Lint: *lintGate},
 		Workers:     *workers,
 		PprofLabels: *pprofLabels,
-	}
-	if *useCache {
-		opt.Cache = fleet.NewCache()
 	}
 	if *cacheDir != "" {
 		d, err := fleet.OpenDiskCache(*cacheDir)
@@ -429,17 +412,12 @@ func runVerify(args []string, proc *process.Process, period float64, out *os.Fil
 	}
 	var rep *fleet.Report
 	if *hierMode {
-		f, err := os.Open(decks[0])
-		if err != nil {
-			return err
-		}
-		lib, hierTop, err := fleet.HierFromDeck(f, decks[0], top)
-		f.Close()
+		lib, root, err := deckHier(decks[0], top)
 		if err != nil {
 			return err
 		}
 		opt.HierInline = *hierInline
-		rep, err = fleet.VerifyHier(lib, hierTop, opt)
+		rep, err = fleet.VerifyHier(lib, root, opt)
 		if err != nil {
 			return err
 		}
@@ -493,11 +471,20 @@ func runLint(args []string, out *os.File) error {
 	if len(rest) < 1 {
 		return fmt.Errorf("lint needs a SPICE deck")
 	}
-	lib, top, err := netlist.ParseFile(rest[0])
+	top := ""
+	if len(rest) >= 2 {
+		top = rest[1]
+	}
+	lib, root, err := deckHier(rest[0], top)
 	if err != nil {
 		return err
 	}
-	opt := lint.LibraryOptions{}
+	// The design root (for FCV008 reachability) follows the top-cell
+	// rule; a soup root is linted as a cell too.
+	if lib.Cell(root.Name) != root {
+		lib.Add(root)
+	}
+	opt := lint.LibraryOptions{Roots: []string{root.Name}}
 	opt.FanoutLimit = *fanout
 	if *waiverPath != "" {
 		w, err := lint.LoadWaivers(*waiverPath)
@@ -505,23 +492,6 @@ func runLint(args []string, out *os.File) error {
 			return err
 		}
 		opt.Waivers = w
-	}
-	// The top-level element soup becomes a cell too, and the design
-	// roots (for FCV008 reachability) follow loadFlat's inference: the
-	// named top, else the soup, else the last-defined cell.
-	switch {
-	case len(rest) >= 2:
-		if lib.Cell(rest[1]) == nil {
-			return fmt.Errorf("lint: unknown cell %q", rest[1])
-		}
-		opt.Roots = []string{rest[1]}
-	case len(top.Devices) > 0 || len(top.Instances) > 0 || len(top.Resistors) > 0:
-		lib.Add(top)
-		opt.Roots = []string{top.Name}
-	default:
-		if cells := lib.Cells(); len(cells) > 0 {
-			opt.Roots = []string{cells[len(cells)-1]}
-		}
 	}
 	rep, err := lint.LintLibrary(lib, opt)
 	if err != nil {
@@ -552,24 +522,39 @@ func runLint(args []string, out *os.File) error {
 	return nil
 }
 
-// loadFlat parses a deck and flattens the requested (or inferred) top.
+// loadFlat flattens a deck's root: the top named by args[1], or the one
+// the top-cell rule picks.
 func loadFlat(args []string) (*netlist.Circuit, error) {
-	lib, top, err := netlist.ParseFile(args[0])
+	top := ""
+	if len(args) >= 2 {
+		top = args[1]
+	}
+	items, err := deckItems(args[0], top, false)
 	if err != nil {
 		return nil, err
 	}
-	if len(args) >= 2 {
-		return lib.Flatten(args[1])
+	return items[0].Circuit, nil
+}
+
+// deckItems opens a deck and returns its fleet items exactly as POST
+// /verify builds them from the same bytes (fleet.ItemsFromDeck). The
+// path is the source name of every parse location.
+func deckItems(path, top string, cells bool) ([]fleet.Item, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
-	if len(top.Devices) == 0 && len(top.Instances) == 0 {
-		// Deck is all subcircuits: flatten the last-named cell.
-		cells := lib.Cells()
-		if len(cells) == 0 {
-			return nil, fmt.Errorf("empty deck")
-		}
-		return lib.Flatten(cells[len(cells)-1])
+	defer f.Close()
+	return fleet.ItemsFromDeck(f, path, top, cells)
+}
+
+// deckHier opens a deck and resolves its library and root under the
+// top-cell rule (fleet.HierFromDeck).
+func deckHier(path, top string) (*netlist.Library, *netlist.Circuit, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
 	}
-	// Flatten the top-level element soup through a temporary library.
-	lib.Add(top)
-	return lib.Flatten(top.Name)
+	defer f.Close()
+	return fleet.HierFromDeck(f, path, top)
 }

@@ -107,7 +107,7 @@ func TestRunVerifyFleetModes(t *testing.T) {
 	if err := run("verify", []string{"-cells", "-quiet", deck}); err != nil {
 		t.Errorf("verify -cells: %v", err)
 	}
-	if err := run("verify", []string{"-cache=false", deck, deck}); err != nil {
+	if err := run("verify", []string{deck, deck}); err != nil {
 		t.Errorf("verify two decks: %v", err)
 	}
 	// Named top still works as the trailing positional.

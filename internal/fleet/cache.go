@@ -20,24 +20,13 @@ import (
 // Invalidation is by key construction, not eviction: a change to the
 // circuit's structure, sizing or models moves the fingerprint, and a
 // change to the process model, clock, couplings or lint configuration
-// moves the config key. Stale entries are simply never looked up again;
-// the cache is unbounded and meant to live for a process or a
-// benchmark, not a daemon.
+// moves the config key. Stale entries are simply never looked up again.
+// The entry map is unbounded, and it is the only store: a subcell's
+// hierarchical composition memos live on its entry, not in separately
+// bounded side tables.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[cacheKey]*cacheEntry
-
-	// Hierarchical composition side-tables, keyed on (DAG fingerprint,
-	// inlining cutoff): the port interface and boundary findings of a
-	// subcell are pure functions of its DAG content and the cutoff that
-	// shaped its effective scope, so a warm re-verify replays them
-	// instead of re-flattening and re-classifying untouched cells.
-	// Unlike the main entry map they are bounded: VerifyHier prunes
-	// stale keys (pruneHier) so daemon edit history cannot grow them
-	// without limit.
-	hierMu    sync.Mutex
-	hierIfcs  map[hierKey]*hier.Interface
-	hierBound map[hierKey][]obs.Finding
 
 	// hierMemo short-circuits the per-cell refinement inside
 	// HierFingerprint for cells whose content and child labels are
@@ -48,12 +37,6 @@ type Cache struct {
 type cacheKey struct {
 	fp  netlist.Fingerprint
 	cfg string
-}
-
-// hierKey identifies a subcell's composition derivatives.
-type hierKey struct {
-	fp     netlist.Fingerprint // the cell's DAG fingerprint
-	cutoff int                 // HierInline cutoff shaping the effective scope
 }
 
 // cacheEntry carries the creating caller's circuit and options into the
@@ -78,83 +61,35 @@ type cacheEntry struct {
 	diskWrote   bool
 	diskEvicted int
 	findings    []obs.Finding
+
+	// A subcell scope's composition memos, guarded by Cache.mu: its port
+	// interface and its boundary findings (nil until derived; derived
+	// empty is a non-nil empty slice). The entry key — DAG fingerprint
+	// plus a config key carrying the inlining cutoff — determines both,
+	// so a warm re-verify replays them instead of re-flattening untouched
+	// cells, concurrent runs that both derive one store equal values
+	// (last write wins), and they live exactly as long as the verdict
+	// they sit next to.
+	ifc      *hier.Interface
+	boundary []obs.Finding
 }
 
 // NewCache returns an empty verification cache.
 func NewCache() *Cache {
 	return &Cache{
-		entries:   make(map[cacheKey]*cacheEntry),
-		hierIfcs:  make(map[hierKey]*hier.Interface),
-		hierBound: make(map[hierKey][]obs.Finding),
-		hierMemo:  netlist.NewHierFPMemo(),
+		entries:  make(map[cacheKey]*cacheEntry),
+		hierMemo: netlist.NewHierFPMemo(),
 	}
 }
 
-// hierIfc returns the memoized port interface for a subcell key.
-func (c *Cache) hierIfc(k hierKey) (*hier.Interface, bool) {
-	c.hierMu.Lock()
-	defer c.hierMu.Unlock()
-	ifc, ok := c.hierIfcs[k]
-	return ifc, ok
-}
-
-// setHierIfc stores a subcell's port interface. Concurrent writers
-// store identical values (the interface is derived deterministically
-// from the key's content), so last-write-wins is sound.
-func (c *Cache) setHierIfc(k hierKey, ifc *hier.Interface) {
-	c.hierMu.Lock()
-	defer c.hierMu.Unlock()
-	c.hierIfcs[k] = ifc
-}
-
-// hierBoundary returns the memoized boundary findings for a subcell
-// key. The boolean distinguishes "cached empty" from "not cached".
-func (c *Cache) hierBoundary(k hierKey) ([]obs.Finding, bool) {
-	c.hierMu.Lock()
-	defer c.hierMu.Unlock()
-	bf, ok := c.hierBound[k]
-	return bf, ok
-}
-
-// setHierBoundary stores a subcell's boundary findings (nil slices are
-// normalized to empty so presence survives the round trip).
-func (c *Cache) setHierBoundary(k hierKey, bf []obs.Finding) {
-	if bf == nil {
-		bf = []obs.Finding{}
-	}
-	c.hierMu.Lock()
-	defer c.hierMu.Unlock()
-	c.hierBound[k] = bf
-}
-
-// hierSideSlack bounds the hier side-tables relative to the most recent
-// run's live cell set: pruning kicks in only once a table exceeds this
-// multiple of the live keys, so steady re-verification of one design
-// never pays for it while a daemon's edit history cannot grow the
-// tables without bound.
-const hierSideSlack = 8
-
-// pruneHier drops side-table entries outside the live key set once a
-// table has outgrown hierSideSlack times it. The tables are otherwise
-// append-only — every edit iteration in a long-running daemon adds
-// DAG-keyed entries that would never be looked up again — and a pruned
-// entry is merely re-derived on next use, so eviction is always safe.
-func (c *Cache) pruneHier(live map[hierKey]bool) {
-	c.hierMu.Lock()
-	defer c.hierMu.Unlock()
-	if len(c.hierIfcs) > hierSideSlack*len(live) {
-		for k := range c.hierIfcs {
-			if !live[k] {
-				delete(c.hierIfcs, k)
-			}
-		}
-	}
-	if len(c.hierBound) > hierSideSlack*len(live) {
-		for k := range c.hierBound {
-			if !live[k] {
-				delete(c.hierBound, k)
-			}
-		}
+// withEntry runs fn on the entry stored under (fp, cfg), if any, while
+// holding c.mu — the guard of the entry's composition memos. fn only
+// reads or writes those fields; it must not block.
+func (c *Cache) withEntry(fp netlist.Fingerprint, cfg string, fn func(e *cacheEntry)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e := c.entries[cacheKey{fp: fp, cfg: cfg}]; e != nil {
+		fn(e)
 	}
 }
 

@@ -66,15 +66,14 @@ type Options struct {
 	Core core.Options
 	// Workers bounds parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Cache, when non-nil, memoizes verification results across items
-	// and runs keyed on structural fingerprint + configuration. Items
-	// with identical structure verify once.
+	// Cache memoizes verification results across items and runs keyed
+	// on structural fingerprint + configuration, so items with identical
+	// structure verify once. Nil means a run-local cache: twins within
+	// the run still verify once, and nothing outlives it.
 	Cache *Cache
 	// DiskCache, when non-nil, adds the persistent cross-run layer:
 	// each in-memory miss consults the cache directory before running
-	// core.Verify, and stores its result after. When Cache is nil a
-	// run-local one is created automatically — the disk layer requires
-	// singleflight admission to keep its hit/miss counts deterministic.
+	// core.Verify, and stores its result after.
 	DiskCache *DiskCache
 	// Obs, when non-nil, collects run telemetry: a "fleet" root span
 	// with one child span per item (stage sub-spans under each from
@@ -223,8 +222,9 @@ func (r *Result) Findings() []obs.Finding {
 type Report struct {
 	// Results are per-item outcomes in input order.
 	Results []Result
-	// Hits and Misses count in-memory cache outcomes for this run (both
-	// zero when no cache was configured).
+	// Hits and Misses count in-memory cache outcomes for this run. Every
+	// run has a cache (a run-local one when Options.Cache is nil), so
+	// each distinct key is one miss and every later twin one hit.
 	Hits, Misses int
 	// DiskHits and DiskMisses count persistent-layer outcomes (both
 	// zero without a DiskCache). Every in-memory miss is exactly one
@@ -284,11 +284,11 @@ func Verify(items []Item, opt Options) *Report {
 	for i := range items {
 		scopes[i] = opt.Events.Scope(items[i].Name)
 	}
-	// The disk layer needs singleflight admission (its hit/miss counts
-	// are per distinct key, not per item): attach a run-local memory
-	// cache when the caller supplied only the persistent one.
+	// Every lookup goes through a cache, so twins verify once and the
+	// disk layer gets the singleflight admission its per-key hit/miss
+	// counts need.
 	cache := opt.Cache
-	if cache == nil && opt.DiskCache != nil {
+	if cache == nil {
 		cache = NewCache()
 	}
 	// Cache lookups run in input order: item i looks up only once
@@ -297,14 +297,11 @@ func Verify(items []Item, opt Options) *Report {
 	// always creates the entry — the run's miss, which carries the
 	// stage spans and disk outcome — whatever order the scheduler runs
 	// workers in. Only lookups are ordered; verifications overlap.
-	var turn []chan struct{}
-	if cache != nil {
-		turn = make([]chan struct{}, len(items)+1)
-		for i := range turn {
-			turn[i] = make(chan struct{})
-		}
-		close(turn[0])
+	turn := make([]chan struct{}, len(items)+1)
+	for i := range turn {
+		turn[i] = make(chan struct{})
 	}
+	close(turn[0])
 	var hits, misses, inflight, busyNS int64
 	var dHits, dMisses, dCorrupt, dWrites, dEvicted int64
 	var wg sync.WaitGroup
@@ -329,7 +326,7 @@ func Verify(items []Item, opt Options) *Report {
 				if it.Circuit == nil && it.Lazy != nil {
 					// OnceValues upholds Lazy's at-most-once contract even
 					// when Key is zero and the fingerprint path calls circ
-					// before the cache (or no-cache branch) does again.
+					// before the cache does again.
 					circ = sync.OnceValues(it.Lazy)
 				}
 				work := func() {
@@ -338,56 +335,45 @@ func Verify(items []Item, opt Options) *Report {
 						c, err := circ()
 						if err != nil {
 							res.Err = err
-							if cache != nil {
-								<-turn[i]
-								close(turn[i+1])
-							}
+							<-turn[i]
+							close(turn[i+1])
 							return
 						}
 						res.Fingerprint = c.Fingerprint()
 					}
-					if cache != nil {
-						<-turn[i]
-						e, fresh, blocked := cache.verify(res.Fingerprint, cfg, circ, copt, opt.DiskCache, func() { close(turn[i+1]) })
-						res.Report, res.Err = e.rep, e.err
-						res.Cached = !fresh
-						res.DiskHit = e.disk == diskHit
-						res.stored = e.findings
-						if fresh {
-							atomic.AddInt64(&misses, 1)
-							sc.Emit(obs.Event{Type: "cache-miss", Detail: res.Fingerprint.Short()})
-							// The disk outcome belongs to the fresh
-							// caller — the one whose lookup ran the once.
-							switch e.disk {
-							case diskHit:
-								atomic.AddInt64(&dHits, 1)
-								sc.Emit(obs.Event{Type: "disk-hit", Detail: res.Fingerprint.Short()})
-							case diskMiss:
-								atomic.AddInt64(&dMisses, 1)
-								sc.Emit(obs.Event{Type: "disk-miss", Detail: res.Fingerprint.Short()})
-							case diskCorrupt:
-								atomic.AddInt64(&dMisses, 1)
-								atomic.AddInt64(&dCorrupt, 1)
-								sc.Emit(obs.Event{Type: "disk-corrupt", Detail: res.Fingerprint.Short()})
-							}
-							if e.diskWrote {
-								atomic.AddInt64(&dWrites, 1)
-							}
-							atomic.AddInt64(&dEvicted, int64(e.diskEvicted))
-						} else {
-							atomic.AddInt64(&hits, 1)
-							sc.Emit(obs.Event{Type: "cache-hit", Detail: res.Fingerprint.Short()})
+					<-turn[i]
+					e, fresh, blocked := cache.verify(res.Fingerprint, cfg, circ, copt, opt.DiskCache, func() { close(turn[i+1]) })
+					res.Report, res.Err = e.rep, e.err
+					res.Cached = !fresh
+					res.DiskHit = e.disk == diskHit
+					res.stored = e.findings
+					if fresh {
+						atomic.AddInt64(&misses, 1)
+						sc.Emit(obs.Event{Type: "cache-miss", Detail: res.Fingerprint.Short()})
+						// The disk outcome belongs to the fresh caller —
+						// the one whose lookup ran the once.
+						switch e.disk {
+						case diskHit:
+							atomic.AddInt64(&dHits, 1)
+							sc.Emit(obs.Event{Type: "disk-hit", Detail: res.Fingerprint.Short()})
+						case diskMiss:
+							atomic.AddInt64(&dMisses, 1)
+							sc.Emit(obs.Event{Type: "disk-miss", Detail: res.Fingerprint.Short()})
+						case diskCorrupt:
+							atomic.AddInt64(&dMisses, 1)
+							atomic.AddInt64(&dCorrupt, 1)
+							sc.Emit(obs.Event{Type: "disk-corrupt", Detail: res.Fingerprint.Short()})
 						}
-						if blocked {
-							atomic.AddInt64(&inflight, 1)
+						if e.diskWrote {
+							atomic.AddInt64(&dWrites, 1)
 						}
+						atomic.AddInt64(&dEvicted, int64(e.diskEvicted))
 					} else {
-						c, err := circ()
-						if err != nil {
-							res.Err = err
-							return
-						}
-						res.Report, res.Err = core.Verify(c, copt)
+						atomic.AddInt64(&hits, 1)
+						sc.Emit(obs.Event{Type: "cache-hit", Detail: res.Fingerprint.Short()})
+					}
+					if blocked {
+						atomic.AddInt64(&inflight, 1)
 					}
 				}
 				if opt.PprofLabels {

@@ -91,17 +91,24 @@ func TestCacheHitsAndMisses(t *testing.T) {
 
 // TestCacheSharesStructuralTwins verifies fingerprint-level sharing: a
 // corpus listing the same structure twice under different item names
-// (and with renamed nodes) verifies once.
+// (and with renamed nodes) verifies once — through a caller's cache or,
+// with none given, through the run-local one.
 func TestCacheSharesStructuralTwins(t *testing.T) {
-	a := designs.InverterChain(8)
-	b := designs.InverterChain(8)
-	items := []Item{{Name: "left", Circuit: a}, {Name: "right", Circuit: b}}
-	rep := Verify(items, Options{Core: coreOpts(), Workers: 2, Cache: NewCache()})
-	if rep.Misses != 1 || rep.Hits != 1 {
-		t.Errorf("structural twins: hits=%d misses=%d, want 1/1", rep.Hits, rep.Misses)
-	}
-	if rep.Results[0].Fingerprint != rep.Results[1].Fingerprint {
-		t.Error("identical structures got different fingerprints")
+	for _, cache := range []*Cache{NewCache(), nil} {
+		a := designs.InverterChain(8)
+		b := designs.InverterChain(8)
+		items := []Item{{Name: "left", Circuit: a}, {Name: "right", Circuit: b}}
+		rep := Verify(items, Options{Core: coreOpts(), Workers: 2, Cache: cache})
+		if rep.Misses != 1 || rep.Hits != 1 {
+			t.Errorf("structural twins (cache %v): hits=%d misses=%d, want 1/1", cache != nil, rep.Hits, rep.Misses)
+		}
+		if rep.Results[0].Cached || !rep.Results[1].Cached {
+			t.Errorf("structural twins (cache %v): cached=%v/%v, want the later twin cached",
+				cache != nil, rep.Results[0].Cached, rep.Results[1].Cached)
+		}
+		if rep.Results[0].Fingerprint != rep.Results[1].Fingerprint {
+			t.Error("identical structures got different fingerprints")
+		}
 	}
 }
 

@@ -48,10 +48,9 @@ const HierKeySalt = "|hier-scope/v1"
 // Results appear in deterministic topological order, children before
 // parents, top last.
 func VerifyHier(lib *netlist.Library, top *netlist.Circuit, opt Options) (*Report, error) {
-	// The hier side-tables — interface/boundary memos and the per-cell
-	// fingerprint memo — live on the verification cache, so resolve it
-	// up front and share one even when the caller did not ask for
-	// memoization.
+	// The composition memos and the per-cell fingerprint memo live on
+	// the verification cache, so resolve it up front: Verify below must
+	// fill the same cache the memos are read from.
 	if opt.Cache == nil {
 		opt.Cache = NewCache()
 	}
@@ -148,56 +147,57 @@ func VerifyHier(lib *netlist.Library, top *netlist.Circuit, opt Options) (*Repor
 	opt.keySalt = fmt.Sprintf("%s|inline=%d", HierKeySalt, cutoff)
 	rep := Verify(items, opt)
 
-	// Port interfaces, memoized on (DAG, cutoff) across runs: resolving
-	// one recurses through kept children, so only cells under an edited
-	// ancestor are ever re-derived.
+	// Port interfaces and boundary findings are memoized on each kept
+	// cell's cache entry, whose key (DAG fingerprint, config key with
+	// the cutoff) determines them. Resolving an interface recurses
+	// through kept children, so only cells under an edited ancestor are
+	// ever re-derived.
 	var ifcOf func(name string) (*hier.Interface, error)
-	ifcOf = func(name string) (*hier.Interface, error) {
-		k := hierKey{fp: dag(name), cutoff: cutoff}
-		if ifc, ok := cache.hierIfc(k); ok {
-			return ifc, nil
-		}
+	composeInputs := func(name string) (*netlist.Circuit, map[string]*hier.Interface, error) {
 		children := make(map[string]*hier.Interface)
 		for _, ch := range keptChildren(name) {
 			ci, err := ifcOf(ch)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			children[ch] = ci
 		}
-		e, err := effOf(name)
+		scope, err := effOf(name)
+		return scope, children, err
+	}
+	ifcOf = func(name string) (*hier.Interface, error) {
+		var ifc *hier.Interface
+		cache.withEntry(dag(name), rep.ConfigKey, func(e *cacheEntry) { ifc = e.ifc })
+		if ifc != nil {
+			return ifc, nil
+		}
+		scope, children, err := composeInputs(name)
+		if err == nil {
+			ifc, err = hier.CellInterface(scope, children)
+		}
 		if err != nil {
 			return nil, err
 		}
-		ifc, err := hier.CellInterface(e, children)
-		if err != nil {
-			return nil, err
-		}
-		cache.setHierIfc(k, ifc)
+		cache.withEntry(dag(name), rep.ConfigKey, func(e *cacheEntry) { e.ifc = ifc })
 		return ifc, nil
 	}
 	boundaryOf := func(name string) ([]obs.Finding, error) {
-		k := hierKey{fp: dag(name), cutoff: cutoff}
-		if bf, ok := cache.hierBoundary(k); ok {
+		var bf []obs.Finding
+		cache.withEntry(dag(name), rep.ConfigKey, func(e *cacheEntry) { bf = e.boundary })
+		if bf != nil {
 			return bf, nil
 		}
-		children := make(map[string]*hier.Interface)
-		for _, ch := range keptChildren(name) {
-			ci, err := ifcOf(ch)
-			if err != nil {
-				return nil, err
-			}
-			children[ch] = ci
+		scope, children, err := composeInputs(name)
+		if err == nil {
+			bf, err = hier.BoundaryFindings(scope, children)
 		}
-		e, err := effOf(name)
 		if err != nil {
 			return nil, err
 		}
-		bf, err := hier.BoundaryFindings(e, children)
-		if err != nil {
-			return nil, err
+		if bf == nil {
+			bf = []obs.Finding{}
 		}
-		cache.setHierBoundary(k, bf)
+		cache.withEntry(dag(name), rep.ConfigKey, func(e *cacheEntry) { e.boundary = bf })
 		return bf, nil
 	}
 
@@ -276,14 +276,6 @@ func VerifyHier(lib *netlist.Library, top *netlist.Circuit, opt Options) (*Repor
 		opt.Obs.Add("fleet.subcell.miss", int64(len(rep.Results)-hits))
 		opt.Obs.Add("fleet.subcell.compose", composed)
 	}
-	// Bound the side-tables for long-running daemons: entries keyed by
-	// superseded DAG hashes (earlier edit iterations) are pruned once
-	// they outnumber this run's live set by a wide margin.
-	live := make(map[hierKey]bool, len(units))
-	for _, name := range units {
-		live[hierKey{fp: dag(name), cutoff: cutoff}] = true
-	}
-	cache.pruneHier(live)
 	return rep, nil
 }
 
@@ -298,10 +290,15 @@ func severityVerdict(sev string) checks.Verdict {
 	return checks.Pass
 }
 
-// HierFromDeck parses one SPICE deck and resolves its hierarchy root
-// with the same top inference as ItemsFromDeck: a named top wins (cell
-// name, or the element soup's name), an element soup is the top, else
-// the last-defined cell.
+// HierFromDeck parses one SPICE deck and resolves its root. This is the
+// one top-cell rule every front door follows — ItemsFromDeck, fcv's
+// verify, lint and single-design subcommands, and POST /verify:
+//   - a named top wins: a cell, or the element soup's name when the soup
+//     is live (holds any device, instance or resistor);
+//   - otherwise a live soup is the top;
+//   - otherwise the last cell in name order is.
+//
+// The soup, when it is the root, is returned outside the library.
 func HierFromDeck(r io.Reader, srcName, top string) (*netlist.Library, *netlist.Circuit, error) {
 	lib, soup, err := netlist.ParseNamed(r, srcName)
 	if err != nil {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/designs"
@@ -249,37 +250,70 @@ func TestVerifyHierInlineCutoffKeying(t *testing.T) {
 	}
 }
 
-// TestCachePruneHier: the hier side-tables evict keys outside the live
-// set once they outgrow it by hierSideSlack, and stay put below that —
-// bounding a daemon's memory across edit iterations.
-func TestCachePruneHier(t *testing.T) {
-	c := NewCache()
-	key := func(i int) hierKey {
-		var fp netlist.Fingerprint
-		fp[0] = byte(i)
-		fp[1] = byte(i >> 8)
-		return hierKey{fp: fp, cutoff: 16}
+// TestCacheEntryHoldsHierMemos: a subcell's composition memos live on
+// its own cache entry. After a cold VerifyHier — four of them racing on
+// one cache, as daemon requests do — every kept non-top cell's entry
+// holds its port interface and every composed cell's entry its boundary
+// findings, and a warm re-run re-derives none of them.
+func TestCacheEntryHoldsHierMemos(t *testing.T) {
+	cache := NewCache()
+	lib, top := designs.DeepTree(3, 2, 0)
+	verify := func() (*Report, error) {
+		return VerifyHier(lib, lib.Cell(top), Options{Core: coreOpts(), Cache: cache})
 	}
-	live := map[hierKey]bool{key(0): true, key(1): true}
-	for i := 0; i <= 2*hierSideSlack; i++ {
-		c.setHierIfc(key(i), &hier.Interface{})
-		c.setHierBoundary(key(i), nil)
+	memos := func(rep *Report) map[string]*hier.Interface {
+		ifcs := map[string]*hier.Interface{}
+		for i := range rep.Results {
+			res := &rep.Results[i]
+			found := false
+			cache.withEntry(res.Fingerprint, rep.ConfigKey, func(e *cacheEntry) {
+				found = true
+				if res.Subcell != top && e.ifc == nil {
+					t.Errorf("%s: entry holds no port interface", res.Subcell)
+				}
+				if res.ComposedFrom > 0 && e.boundary == nil {
+					t.Errorf("%s: composed cell's entry holds no boundary findings", res.Subcell)
+				}
+				ifcs[res.Subcell] = e.ifc
+			})
+			if !found {
+				t.Errorf("%s: no cache entry under its DAG key", res.Subcell)
+			}
+		}
+		return ifcs
 	}
-	c.pruneHier(live)
-	if len(c.hierIfcs) != len(live) || len(c.hierBound) != len(live) {
-		t.Fatalf("after prune: %d ifcs / %d boundaries, want %d live each",
-			len(c.hierIfcs), len(c.hierBound), len(live))
+	var wg sync.WaitGroup
+	reps := make([]*Report, 4)
+	errs := make([]error, len(reps))
+	for i := range reps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reps[i], errs[i] = verify()
+		}()
 	}
-	for k := range live {
-		if _, ok := c.hierIfc(k); !ok {
-			t.Errorf("live key %v evicted", k)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Below the slack threshold nothing is touched.
-	c.setHierIfc(key(2), &hier.Interface{})
-	c.pruneHier(live)
-	if _, ok := c.hierIfc(key(2)); !ok {
-		t.Error("prune below threshold evicted an entry")
+	cold := reps[0]
+	if last := cold.Results[len(cold.Results)-1]; len(cold.Results) < 3 || last.ComposedFrom == 0 {
+		t.Fatalf("%d units, top composed from %d: corpus assumption broken", len(cold.Results), last.ComposedFrom)
+	}
+	coldIfcs := memos(cold)
+	warm, err := verify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Misses != 0 {
+		t.Fatalf("warm re-run missed %d entries, want 0", warm.Misses)
+	}
+	for name, ifc := range memos(warm) {
+		if ifc != coldIfcs[name] {
+			t.Errorf("%s: port interface re-derived on the warm run", name)
+		}
 	}
 }
 

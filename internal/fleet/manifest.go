@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/netlist"
 	"repro/internal/obs"
 )
 
@@ -38,47 +37,32 @@ func BuildManifest(tool string, rep *Report, col *obs.Collector) *obs.Manifest {
 }
 
 // ItemsFromDeck parses one SPICE deck from r and returns its fleet
-// items: with cells, every cell of the library (top-level element soup
-// included) becomes an item; otherwise the single named — or inferred —
-// top is flattened, following the same inference as the fcv CLI (a
-// named top wins; an element soup is the top; else the last-defined
-// cell). srcName labels parse locations (and so lint findings) exactly
-// like a file path would, so a daemon reading the deck off the wire
-// under the deck's own name produces findings byte-identical to a batch
-// run over the file.
+// items. The root follows HierFromDeck's top-cell rule, and an element
+// soup chosen as the root joins the library as a cell. Without cells
+// the root is flattened into the one item; with cells every library cell
+// becomes an item, and naming a top is an error. srcName labels parse
+// locations (and so lint findings) exactly like a file path would, so a
+// daemon reading the deck off the wire under the deck's own name
+// produces findings byte-identical to a batch run over the file.
 func ItemsFromDeck(r io.Reader, srcName, top string, cells bool) ([]Item, error) {
-	lib, soup, err := netlist.ParseNamed(r, srcName)
+	if cells && top != "" {
+		return nil, fmt.Errorf("fleet: deck %s: a top cell applies only without cells", srcName)
+	}
+	lib, root, err := HierFromDeck(r, srcName, top)
 	if err != nil {
 		return nil, err
 	}
-	soupLive := len(soup.Devices) > 0 || len(soup.Instances) > 0 || len(soup.Resistors) > 0
+	if lib.Cell(root.Name) != root {
+		lib.Add(root)
+	}
 	if cells {
-		if soupLive {
-			lib.Add(soup)
-		}
 		items, errs := CorpusFromLibrary(lib)
 		if len(errs) > 0 {
 			return nil, errs[0]
 		}
-		if len(items) == 0 {
-			return nil, fmt.Errorf("fleet: empty deck %s", srcName)
-		}
 		return items, nil
 	}
-	var flat *netlist.Circuit
-	switch {
-	case top != "":
-		flat, err = lib.Flatten(top)
-	case !soupLive:
-		names := lib.Cells()
-		if len(names) == 0 {
-			return nil, fmt.Errorf("fleet: empty deck %s", srcName)
-		}
-		flat, err = lib.Flatten(names[len(names)-1])
-	default:
-		lib.Add(soup)
-		flat, err = lib.Flatten(soup.Name)
-	}
+	flat, err := lib.Flatten(root.Name)
 	if err != nil {
 		return nil, err
 	}

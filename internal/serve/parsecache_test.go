@@ -7,30 +7,30 @@ import (
 	"repro/internal/fleet"
 )
 
-func parseItems(t *testing.T, deck string) []fleet.Item {
+func parseItems(t *testing.T, deck string) deckLoad {
 	t.Helper()
 	items, err := fleet.ItemsFromDeck(strings.NewReader(deck), "deck.sp", "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return items
+	return deckLoad{items: items}
 }
 
 // TestParseCacheLRU exercises the unit: hit after put, recency refresh
 // and LRU eviction.
 func TestParseCacheLRU(t *testing.T) {
-	items := parseItems(t, cleanDeck)
+	ld := parseItems(t, cleanDeck)
 	c := newParseCache(2)
 	if _, ok := c.get("a"); ok {
 		t.Fatal("empty cache hit")
 	}
-	c.put("a", items)
-	c.put("b", items)
-	if got, ok := c.get("a"); !ok || len(got) != len(items) {
+	c.put("a", ld)
+	c.put("b", ld)
+	if got, ok := c.get("a"); !ok || len(got.items) != len(ld.items) {
 		t.Fatal("miss after put")
 	}
 	// "a" was just refreshed, so inserting "c" must evict "b".
-	c.put("c", items)
+	c.put("c", ld)
 	if _, ok := c.get("b"); ok {
 		t.Error("LRU entry not evicted")
 	}

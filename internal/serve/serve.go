@@ -399,9 +399,10 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	w.Write(b)
 }
 
-// deckLoad is loadDeck's result: the flat item list, or — for ?hier=1
-// requests — the parsed library plus resolved top cell for VerifyHier
-// (lib non-nil selects the hierarchical path).
+// deckLoad is loadDeck's result and the parse cache's entry: the flat
+// item list, or — for ?hier=1 requests — the parsed library plus
+// resolved top cell for VerifyHier (lib non-nil selects the
+// hierarchical path).
 type deckLoad struct {
 	items []fleet.Item
 	lib   *netlist.Library
@@ -445,36 +446,28 @@ func (s *Server) loadDeck(r *http.Request) (ld deckLoad, src, deckSHA string, er
 	sum := sha256.Sum256(data)
 	deckSHA = hex.EncodeToString(sum[:])
 	key := deckSHA + "\x00" + src + "\x00" + top + "\x00" + strconv.FormatBool(cells) + "\x00" + strconv.FormatBool(hier)
-	if hier {
-		if lib, topC, ok := s.parses.getHier(key); ok {
-			s.col.Add("serve.parse_cache.hit", 1)
-			return deckLoad{lib: lib, top: topC}, src, deckSHA, nil
-		}
-		s.col.Add("serve.parse_cache.miss", 1)
-		lib, topC, err := fleet.HierFromDeck(bytes.NewReader(data), src, top)
-		if err != nil {
-			return ld, src, deckSHA, err
-		}
-		// Resolve the fingerprint DAG now so malformed hierarchies are a
-		// 400 before admission, not a mid-run failure after headers went
-		// out (the result itself is rebuilt memoized inside VerifyHier).
-		if _, err := lib.HierFingerprint(topC); err != nil {
-			return ld, src, deckSHA, err
-		}
-		s.parses.putHier(key, lib, topC)
-		return deckLoad{lib: lib, top: topC}, src, deckSHA, nil
-	}
-	if cached, ok := s.parses.get(key); ok {
+	if ld, ok := s.parses.get(key); ok {
 		s.col.Add("serve.parse_cache.hit", 1)
-		return deckLoad{items: cached}, src, deckSHA, nil
+		return ld, src, deckSHA, nil
 	}
 	s.col.Add("serve.parse_cache.miss", 1)
-	items, err := fleet.ItemsFromDeck(bytes.NewReader(data), src, top, cells)
-	if err != nil {
-		return ld, src, deckSHA, err
+	if hier {
+		ld.lib, ld.top, err = fleet.HierFromDeck(bytes.NewReader(data), src, top)
+		if err == nil {
+			// Resolve the fingerprint DAG now so malformed hierarchies are
+			// a 400 before admission, not a mid-run failure after headers
+			// went out (the result itself is rebuilt memoized inside
+			// VerifyHier).
+			_, err = ld.lib.HierFingerprint(ld.top)
+		}
+	} else {
+		ld.items, err = fleet.ItemsFromDeck(bytes.NewReader(data), src, top, cells)
 	}
-	s.parses.put(key, items)
-	return deckLoad{items: items}, src, deckSHA, nil
+	if err != nil {
+		return deckLoad{}, src, deckSHA, err
+	}
+	s.parses.put(key, ld)
+	return ld, src, deckSHA, nil
 }
 
 // fail answers an unusable request and counts it.

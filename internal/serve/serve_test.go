@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -113,6 +114,40 @@ func TestVerifyBadDeckReturns400(t *testing.T) {
 	}
 	if got := s.StatsNow().BadRequests; got != 1 {
 		t.Errorf("bad_requests = %d, want 1", got)
+	}
+}
+
+// TestVerifyBodyCap: a deck of exactly MaxBodyBytes verifies, and one
+// byte more is a 400 the access log records. The cap fires while the
+// body is read, before the parse cache is consulted, so neither parse
+// cache counter moves.
+func TestVerifyBodyCap(t *testing.T) {
+	var log bytes.Buffer
+	cfg := testConfig()
+	cfg.MaxBodyBytes = int64(len(cleanDeck))
+	cfg.AccessLog = &log
+	s, hs := newTestServer(t, cfg)
+	if resp, body := postDeck(t, hs.URL+"/verify", cleanDeck); resp.StatusCode != http.StatusOK {
+		t.Fatalf("deck at the cap: status %d, want 200; body: %s", resp.StatusCode, body)
+	}
+	before := s.StatsNow().Counters
+	resp, body := postDeck(t, hs.URL+"/verify", cleanDeck+"\n")
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "request body too large") {
+		t.Fatalf("deck one byte over the cap: status %d, body %q; want 400 request body too large", resp.StatusCode, body)
+	}
+	after := s.StatsNow().Counters
+	for _, name := range []string{"serve.parse_cache.hit", "serve.parse_cache.miss"} {
+		if after[name] != before[name] {
+			t.Errorf("%s moved %d -> %d on an oversized body", name, before[name], after[name])
+		}
+	}
+	lines := strings.Split(strings.TrimSpace(log.String()), "\n")
+	var rec accessRecord
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if len(lines) != 2 || rec.Status != http.StatusBadRequest {
+		t.Errorf("access log: %d lines, last status %d; want 2 lines ending in 400", len(lines), rec.Status)
 	}
 }
 
