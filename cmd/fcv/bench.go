@@ -19,10 +19,11 @@ import (
 
 // BenchMetrics is the JSON shape of `fcv bench -out BENCH_fleet.json`:
 // the numbers the repo benchmark (perfbench) deliberately leaves out —
-// the scalar simulation loops against the packed kernels, block-parallel
-// cycles/day, the persistent disk cache and the hierarchical
-// cold-vs-edit ratio — in machine-readable form, so CI can archive and
-// trend-gate them per commit.
+// the scalar RTL loop, the switch-level engine one vector at a time
+// against 64 lanes at a time, block-parallel cycles/day, the persistent
+// disk cache and the hierarchical cold-vs-edit ratio — in
+// machine-readable form, so CI can archive and trend-gate them per
+// commit.
 type BenchMetrics struct {
 	// GOMAXPROCS records the parallelism available to the run; the
 	// block-parallel and hierarchical numbers are bounded by it.
@@ -39,12 +40,13 @@ type BenchMetrics struct {
 	DiskWarmSpeedup       float64 `json:"disk_warm_speedup"`
 	// VectorsPerSec is the packed switch-level settle throughput in
 	// stimulus vectors per second (64 lanes per settle) on the clocked
-	// domino-adder kernel; ScalarVectorsPerSec is the scalar oracle on
-	// the identical step, and LaneParallelSpeedup is their ratio — the
-	// per-settle bit-parallel win, independent of goroutine count.
-	VectorsPerSec       float64 `json:"vectors_per_sec"`
-	ScalarVectorsPerSec float64 `json:"scalar_vectors_per_sec"`
-	LaneParallelSpeedup float64 `json:"lane_parallel_speedup"`
+	// domino-adder kernel; OneLaneVectorsPerSec is the same engine
+	// driving one vector (every lane alike) through the identical step,
+	// and LaneParallelSpeedup is their ratio — the per-settle
+	// bit-parallel win, independent of goroutine count.
+	VectorsPerSec        float64 `json:"vectors_per_sec"`
+	OneLaneVectorsPerSec float64 `json:"one_lane_vectors_per_sec"`
+	LaneParallelSpeedup  float64 `json:"lane_parallel_speedup"`
 	// CyclesPerDay extrapolates the measured block-parallel packed-RTL
 	// rate (blocks x 64 lanes x LaneBlockWorkers goroutines on the S1
 	// pipeline) to a day — the paper's §4.1 farm yardstick (~2e9
@@ -182,35 +184,30 @@ func runBench(args []string, out *os.File) error {
 		return err
 	}
 
-	// Bit-parallel lane throughput: the packed settle versus the scalar
-	// oracle on the same clocked domino-adder step. One packed settle
-	// carries 64 independent stimulus lanes, so the packed pass counts
-	// 64 vectors where the scalar pass counts one.
+	// Bit-parallel lane throughput: the switch-level engine on the same
+	// clocked domino-adder step, first driving one vector (every lane
+	// alike), then 64 independent stimulus lanes per settle, so the
+	// packed pass counts 64 vectors where the one-lane pass counts one.
 	laneSteps := max(*cycles/50, 300)
-	scal, err := switchsim.New(designs.DominoAdder(16))
+	packed, err := switchsim.NewPacked(designs.DominoAdder(16))
 	if err != nil {
 		return err
 	}
-	scal.Settle()
-	m.ScalarVectorsPerSec, err = bestRate(*reps, float64(laneSteps), nil, func(int) error {
+	packed.Settle()
+	m.OneLaneVectorsPerSec, err = bestRate(*reps, float64(laneSteps), nil, func(int) error {
 		for i := 0; i < laneSteps; i++ {
-			scal.SetQuiet("phi", switchsim.Lo)
-			scal.Settle()
-			scal.SetQuiet("a0", switchsim.Bool(i%2 == 0))
-			scal.SetQuiet("b0", switchsim.Hi)
-			scal.SetQuiet("phi", switchsim.Hi)
-			scal.Settle()
+			packed.SetQuietAll("phi", switchsim.Lo)
+			packed.Settle()
+			packed.SetQuietAll("a0", switchsim.Bool(i%2 == 0))
+			packed.SetQuietAll("b0", switchsim.Hi)
+			packed.SetQuietAll("phi", switchsim.Hi)
+			packed.Settle()
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	packed, err := switchsim.NewPacked(designs.DominoAdder(16))
-	if err != nil {
-		return err
-	}
-	packed.Settle()
 	m.VectorsPerSec, err = bestRate(*reps, float64(laneSteps*switchsim.Lanes),
 		func(r int) error { packed.SetObserver(first(r)); return nil },
 		func(int) error {
@@ -228,7 +225,7 @@ func runBench(args []string, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	m.LaneParallelSpeedup = m.VectorsPerSec / m.ScalarVectorsPerSec
+	m.LaneParallelSpeedup = m.VectorsPerSec / m.OneLaneVectorsPerSec
 
 	// Block-parallel packed RTL on the S1 pipeline: independent 64-lane
 	// blocks across goroutine workers, extrapolated to cycles/day.
@@ -393,7 +390,7 @@ func runBench(args []string, out *os.File) error {
 	if err := obs.WriteFileAtomic(*outPath, b); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "bench: rtl=%.0f cycles/sec, lanes=%.0f vectors/sec (%.1fx scalar), %.3g cycles/day at %d block workers (%.2fx serial), disk warm=%.2fx -> %s\n",
+	fmt.Fprintf(out, "bench: rtl=%.0f cycles/sec, lanes=%.0f vectors/sec (%.1fx one-lane), %.3g cycles/day at %d block workers (%.2fx serial), disk warm=%.2fx -> %s\n",
 		m.RTLCyclesPerSec, m.VectorsPerSec, m.LaneParallelSpeedup, m.CyclesPerDay, m.LaneBlockWorkers, m.LaneBlockSpeedup, m.DiskWarmSpeedup, *outPath)
 	fmt.Fprintf(out, "bench: hier cold=%.1f designs/sec, edit-one-leaf warm=%.1f designs/sec (%.1fx incremental)\n",
 		m.HierColdDesignsPerSec, m.HierEditOneLeafReverifyPerSec, m.HierIncrementalSpeedup)

@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/designs"
 	"repro/internal/layout"
-	"repro/internal/obs"
 	"repro/internal/process"
 	"repro/internal/rtl"
 	"repro/internal/shadow"
@@ -42,16 +41,17 @@ func main() {
 	}
 
 	// Shadow-mode simulation against the RTL reference (§4.1): the RTL
-	// is golden; the transistor adder shadows its sum bits.
+	// is golden; the transistor adder shadows its sum bits on 64 random
+	// stimulus lanes per cycle.
 	prog, err := rtl.ParseString(designs.AdderRTL(bits))
 	if err != nil {
 		log.Fatal(err)
 	}
-	rtlSim, err := rtl.NewSim(prog)
+	rtlSim, err := rtl.NewPackedSim(prog)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cktSim, err := switchsim.New(ckt)
+	cktSim, err := switchsim.NewPacked(ckt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,16 +66,12 @@ func main() {
 		binding.Outputs[fmt.Sprintf("s%d", i)] = fmt.Sprintf("s[%d]", i)
 	}
 	binding.Outputs["cout"] = "cout"
-	sh, err := shadow.New(rtlSim, cktSim, binding)
+	sh, err := shadow.NewPacked(rtlSim, cktSim, binding)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rng := obs.NewRNG(1997)
-	for i := 0; i < 200; i++ {
-		_ = rtlSim.Set("a", rng.Uint64()&0xffff)
-		_ = rtlSim.Set("b", rng.Uint64()&0xffff)
-		_ = rtlSim.Set("cin", rng.Uint64()&1)
-		sh.Cycle()
+	if _, err := sh.RandomRun(200, 1997, "a", "b", "cin"); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Println(sh.Report())
 

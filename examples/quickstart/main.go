@@ -50,16 +50,18 @@ func main() {
 	fmt.Print(rep.Summary())
 
 	// 4. And watch it work at switch level: precharge, then evaluate.
-	sim, err := switchsim.New(c)
+	//    The simulator carries 64 stimulus lanes; one vector drives them
+	//    all alike and reads lane 0.
+	sim, err := switchsim.NewPacked(c)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sim.SetQuiet("phi1", switchsim.Lo)
-	sim.SetQuiet("a", switchsim.Hi)
-	sim.SetQuiet("b", switchsim.Hi)
+	sim.SetQuietAll("phi1", switchsim.Lo)
+	sim.SetQuietAll("a", switchsim.Hi)
+	sim.SetQuietAll("b", switchsim.Hi)
 	sim.Settle()
-	fmt.Printf("precharge: dyn=%v out=%v\n", sim.Get("dyn"), sim.Get("out"))
-	sim.SetQuiet("phi1", switchsim.Hi)
+	fmt.Printf("precharge: dyn=%v out=%v\n", sim.GetLane("dyn", 0), sim.GetLane("out", 0))
+	sim.SetQuietAll("phi1", switchsim.Hi)
 	sim.Settle()
-	fmt.Printf("evaluate(a=1,b=1): dyn=%v out=%v  (out = a AND b)\n", sim.Get("dyn"), sim.Get("out"))
+	fmt.Printf("evaluate(a=1,b=1): dyn=%v out=%v  (out = a AND b)\n", sim.GetLane("dyn", 0), sim.GetLane("out", 0))
 }

@@ -48,7 +48,7 @@ func TestCrossValidationStaticGates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", g.name, err)
 		}
-		sim, err := switchsim.New(c)
+		sim, err := switchsim.NewPacked(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,11 +57,11 @@ func TestCrossValidationStaticGates(t *testing.T) {
 			for k, in := range g.inputs {
 				bit := v>>k&1 == 1
 				env[in] = bit
-				sim.SetQuiet(in, switchsim.Bool(bit))
+				sim.SetQuietAll(in, switchsim.Bool(bit))
 			}
 			sim.Settle()
 			want := fn.Eval(env)
-			got := sim.Get(g.out)
+			got := sim.GetLane(g.out, 0)
 			if got == switchsim.X {
 				t.Errorf("%s: sim X at %v", g.name, env)
 				continue
@@ -78,7 +78,7 @@ func TestCrossValidationStaticGates(t *testing.T) {
 // (compiled sim), and Go's own integer addition — all three must agree.
 func TestCrossValidationAdderThreeWay(t *testing.T) {
 	const n = 8
-	ckt, err := switchsim.New(DominoAdder(n))
+	ckt, err := switchsim.NewPacked(DominoAdder(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,18 +92,18 @@ func TestCrossValidationAdderThreeWay(t *testing.T) {
 	}
 	f := func(a, b uint8, cin bool) bool {
 		// Switch level.
-		ckt.SetQuiet("phi1", switchsim.Lo)
+		ckt.SetQuietAll("phi1", switchsim.Lo)
 		for i := 0; i < n; i++ {
-			ckt.SetQuiet(fmt.Sprintf("a%d", i), switchsim.Bool(uint64(a)>>uint(i)&1 == 1))
-			ckt.SetQuiet(fmt.Sprintf("b%d", i), switchsim.Bool(uint64(b)>>uint(i)&1 == 1))
+			ckt.SetQuietAll(fmt.Sprintf("a%d", i), switchsim.Bool(uint64(a)>>uint(i)&1 == 1))
+			ckt.SetQuietAll(fmt.Sprintf("b%d", i), switchsim.Bool(uint64(b)>>uint(i)&1 == 1))
 		}
-		ckt.SetQuiet("cin", switchsim.Bool(cin))
+		ckt.SetQuietAll("cin", switchsim.Bool(cin))
 		ckt.Settle()
-		ckt.SetQuiet("phi1", switchsim.Hi)
+		ckt.SetQuietAll("phi1", switchsim.Hi)
 		ckt.Settle()
 		var cktSum uint64
 		for i := 0; i < n; i++ {
-			v := ckt.Get(fmt.Sprintf("s%d", i))
+			v := ckt.GetLane(fmt.Sprintf("s%d", i), 0)
 			if v == switchsim.X {
 				return false
 			}
@@ -147,7 +147,7 @@ func TestRecognizedDominoFunctionMatchesSim(t *testing.T) {
 	if fn == nil {
 		t.Fatal("no evaluate function for the carry gate")
 	}
-	sim, err := switchsim.New(c)
+	sim, err := switchsim.NewPacked(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,15 +157,15 @@ func TestRecognizedDominoFunctionMatchesSim(t *testing.T) {
 			"p":   v&2 == 2,
 			"cin": v&4 == 4,
 		}
-		sim.SetQuiet("phi1", switchsim.Lo)
+		sim.SetQuietAll("phi1", switchsim.Lo)
 		for k, b := range env {
-			sim.SetQuiet(k, switchsim.Bool(b))
+			sim.SetQuietAll(k, switchsim.Bool(b))
 		}
 		sim.Settle()
-		sim.SetQuiet("phi1", switchsim.Hi)
+		sim.SetQuietAll("phi1", switchsim.Hi)
 		sim.Settle()
 		want := fn.Eval(env)
-		got := sim.Get("mc0_dyn")
+		got := sim.GetLane("mc0_dyn", 0)
 		if got == switchsim.X {
 			t.Errorf("dyn X at %v", env)
 			continue

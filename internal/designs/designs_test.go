@@ -30,21 +30,21 @@ func TestInverterChainStructure(t *testing.T) {
 
 // simAdder drives the domino adder through a precharge/evaluate cycle
 // and returns the observed sum.
-func simAdder(t *testing.T, s *switchsim.Sim, n int, a, b uint64, cin bool) (sum uint64, cout bool) {
+func simAdder(t *testing.T, s *switchsim.PackedSim, n int, a, b uint64, cin bool) (sum uint64, cout bool) {
 	t.Helper()
 	// Precharge with clock low.
-	s.SetQuiet("phi1", switchsim.Lo)
+	s.SetQuietAll("phi1", switchsim.Lo)
 	for i := 0; i < n; i++ {
-		s.SetQuiet(fmt.Sprintf("a%d", i), switchsim.Bool(a>>uint(i)&1 == 1))
-		s.SetQuiet(fmt.Sprintf("b%d", i), switchsim.Bool(b>>uint(i)&1 == 1))
+		s.SetQuietAll(fmt.Sprintf("a%d", i), switchsim.Bool(a>>uint(i)&1 == 1))
+		s.SetQuietAll(fmt.Sprintf("b%d", i), switchsim.Bool(b>>uint(i)&1 == 1))
 	}
-	s.SetQuiet("cin", switchsim.Bool(cin))
+	s.SetQuietAll("cin", switchsim.Bool(cin))
 	s.Settle()
 	// Evaluate.
-	s.SetQuiet("phi1", switchsim.Hi)
+	s.SetQuietAll("phi1", switchsim.Hi)
 	s.Settle()
 	for i := 0; i < n; i++ {
-		v := s.Get(fmt.Sprintf("s%d", i))
+		v := s.GetLane(fmt.Sprintf("s%d", i), 0)
 		if v == switchsim.X {
 			t.Fatalf("s%d is X for a=%d b=%d cin=%v", i, a, b, cin)
 		}
@@ -52,7 +52,7 @@ func simAdder(t *testing.T, s *switchsim.Sim, n int, a, b uint64, cin bool) (sum
 			sum |= 1 << uint(i)
 		}
 	}
-	return sum, s.Get("cout") == switchsim.Hi
+	return sum, s.GetLane("cout", 0) == switchsim.Hi
 }
 
 func TestDominoAdderComputesCorrectly(t *testing.T) {
@@ -61,7 +61,7 @@ func TestDominoAdderComputesCorrectly(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	s, err := switchsim.New(c)
+	s, err := switchsim.NewPacked(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestDominoAdderComputesCorrectly(t *testing.T) {
 // operands (the switch-level sim is the oracle-free ground truth here).
 func TestDominoAdderProperty(t *testing.T) {
 	const n = 8
-	s, err := switchsim.New(DominoAdder(n))
+	s, err := switchsim.NewPacked(DominoAdder(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,19 +170,19 @@ func TestPassMuxSteering(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	s, err := switchsim.New(c)
+	s, err := switchsim.NewPacked(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for sel := 0; sel < 4; sel++ {
 		for i := 0; i < 4; i++ {
-			s.SetQuiet(fmt.Sprintf("in%d", i), switchsim.Bool(i == 2))
-			s.SetQuiet(fmt.Sprintf("s%d", i), switchsim.Bool(i == sel))
-			s.SetQuiet(fmt.Sprintf("sn%d", i), switchsim.Bool(i != sel))
+			s.SetQuietAll(fmt.Sprintf("in%d", i), switchsim.Bool(i == 2))
+			s.SetQuietAll(fmt.Sprintf("s%d", i), switchsim.Bool(i == sel))
+			s.SetQuietAll(fmt.Sprintf("sn%d", i), switchsim.Bool(i != sel))
 		}
 		s.Settle()
 		want := switchsim.Bool(sel == 2)
-		if got := s.Get("y"); got != want {
+		if got := s.GetLane("y", 0); got != want {
 			t.Errorf("mux sel=%d: y=%v want %v", sel, got, want)
 		}
 	}
@@ -326,7 +326,7 @@ func TestAdderRTLComputes(t *testing.T) {
 func TestNOR2Gate(t *testing.T) {
 	c := netListWithPorts("nor2", "a", "b", "y")
 	AddNOR2(c, "g", "a", "b", "y")
-	s, err := switchsim.New(c)
+	s, err := switchsim.NewPacked(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,10 +337,10 @@ func TestNOR2Gate(t *testing.T) {
 		{switchsim.Hi, switchsim.Hi, switchsim.Lo},
 	}
 	for _, cse := range cases {
-		s.SetQuiet("a", cse.a)
-		s.SetQuiet("b", cse.b)
+		s.SetQuietAll("a", cse.a)
+		s.SetQuietAll("b", cse.b)
 		s.Settle()
-		if got := s.Get("y"); got != cse.want {
+		if got := s.GetLane("y", 0); got != cse.want {
 			t.Errorf("nor(%v,%v) = %v", cse.a, cse.b, got)
 		}
 	}
@@ -370,7 +370,7 @@ func TestDCVSLComparator(t *testing.T) {
 	if got := len(rec.GroupsByFamily(recognize.FamilyDCVSL)); got != 2*(n+1) {
 		t.Errorf("DCVSL groups = %d, want %d; %s", got, 2*(n+1), rec.Summary())
 	}
-	s, err := switchsim.New(c)
+	s, err := switchsim.NewPacked(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,10 +378,10 @@ func TestDCVSLComparator(t *testing.T) {
 		for i := 0; i < n; i++ {
 			abit := a>>uint(i)&1 == 1
 			bbit := b>>uint(i)&1 == 1
-			s.SetQuiet(fmt.Sprintf("a%d", i), switchsim.Bool(abit))
-			s.SetQuiet(fmt.Sprintf("an%d", i), switchsim.Bool(!abit))
-			s.SetQuiet(fmt.Sprintf("b%d", i), switchsim.Bool(bbit))
-			s.SetQuiet(fmt.Sprintf("bn%d", i), switchsim.Bool(!bbit))
+			s.SetQuietAll(fmt.Sprintf("a%d", i), switchsim.Bool(abit))
+			s.SetQuietAll(fmt.Sprintf("an%d", i), switchsim.Bool(!abit))
+			s.SetQuietAll(fmt.Sprintf("b%d", i), switchsim.Bool(bbit))
+			s.SetQuietAll(fmt.Sprintf("bn%d", i), switchsim.Bool(!bbit))
 		}
 		s.Settle()
 	}
@@ -392,10 +392,10 @@ func TestDCVSLComparator(t *testing.T) {
 		drive(cse.a, cse.b)
 		wantEq := switchsim.Bool(cse.a == cse.b)
 		wantEqn := switchsim.Bool(cse.a != cse.b)
-		if got := s.Get("eq"); got != wantEq {
+		if got := s.GetLane("eq", 0); got != wantEq {
 			t.Errorf("cmp(%d,%d): eq=%v want %v", cse.a, cse.b, got, wantEq)
 		}
-		if got := s.Get("eqn"); got != wantEqn {
+		if got := s.GetLane("eqn", 0); got != wantEqn {
 			t.Errorf("cmp(%d,%d): eqn=%v want %v", cse.a, cse.b, got, wantEqn)
 		}
 	}
@@ -429,25 +429,25 @@ func TestRegisterFile(t *testing.T) {
 		t.Error("write strobe not recognized as a clock")
 	}
 
-	s, err := switchsim.New(c)
+	s, err := switchsim.NewPacked(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	setWord := func(w int, on bool) {
 		for i := 0; i < words; i++ {
-			s.SetQuiet(fmt.Sprintf("clk_w%d", i), switchsim.Bool(on && i == w))
-			s.SetQuiet(fmt.Sprintf("clk_wn%d", i), switchsim.Bool(!(on && i == w)))
+			s.SetQuietAll(fmt.Sprintf("clk_w%d", i), switchsim.Bool(on && i == w))
+			s.SetQuietAll(fmt.Sprintf("clk_wn%d", i), switchsim.Bool(!(on && i == w)))
 		}
 	}
 	selWord := func(w int) {
 		for i := 0; i < words; i++ {
-			s.SetQuiet(fmt.Sprintf("rsel%d", i), switchsim.Bool(i == w))
-			s.SetQuiet(fmt.Sprintf("rseln%d", i), switchsim.Bool(i != w))
+			s.SetQuietAll(fmt.Sprintf("rsel%d", i), switchsim.Bool(i == w))
+			s.SetQuietAll(fmt.Sprintf("rseln%d", i), switchsim.Bool(i != w))
 		}
 	}
 	write := func(w int, v uint64) {
 		for b := 0; b < bits; b++ {
-			s.SetQuiet(fmt.Sprintf("d%d", b), switchsim.Bool(v>>uint(b)&1 == 1))
+			s.SetQuietAll(fmt.Sprintf("d%d", b), switchsim.Bool(v>>uint(b)&1 == 1))
 		}
 		setWord(w, true)
 		s.Settle()
@@ -459,7 +459,7 @@ func TestRegisterFile(t *testing.T) {
 		s.Settle()
 		var v uint64
 		for b := 0; b < bits; b++ {
-			if s.Get(fmt.Sprintf("q%d", b)) == switchsim.Hi {
+			if s.GetLane(fmt.Sprintf("q%d", b), 0) == switchsim.Hi {
 				v |= 1 << uint(b)
 			}
 		}

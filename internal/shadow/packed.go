@@ -2,6 +2,7 @@ package shadow
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -52,41 +53,56 @@ type PackedShadow struct {
 	// MaxMismatches bounds the log (default 100).
 	MaxMismatches int
 
-	outNodes []string
-	planeBuf []uint64
-	blockIdx int
+	ins, outs []boundRef // sorted by circuit node
+	planeBuf  []uint64
+	blockIdx  int
+}
+
+// boundRef is one input or output binding resolved against the RTL
+// design: the circuit node, the reference as written, and the signal
+// and bit it selects.
+type boundRef struct {
+	node, ref, sig string
+	bit            int
 }
 
 // NewPacked validates the binding and returns a coupled 64-lane shadow.
+// Every input and output reference must name an RTL signal, and a bit
+// select must lie inside the signal's width.
 func NewPacked(rtlSim *rtl.PackedSim, ckt *switchsim.PackedSim, b Binding) (*PackedShadow, error) {
-	checkRef := func(ref string) error {
-		name, _, err := splitRef(ref)
-		if err != nil {
-			return err
+	d := rtlSim.Design()
+	resolve := func(kind string, m map[string]string) ([]boundRef, error) {
+		refs := make([]boundRef, 0, len(m))
+		for node, ref := range m {
+			if ckt.Circuit().FindNode(node) < 0 {
+				return nil, fmt.Errorf("shadow: %s binding to unknown circuit node %q", kind, node)
+			}
+			name, bit, err := splitRef(ref)
+			if err != nil {
+				return nil, err
+			}
+			i := d.SignalIndex(name)
+			if i < 0 {
+				return nil, fmt.Errorf("shadow: unknown RTL signal %q", name)
+			}
+			if w := d.Signals[i].Width; bit >= w {
+				return nil, fmt.Errorf("shadow: %q selects bit %d of %d-bit signal %q", ref, bit, w, name)
+			}
+			refs = append(refs, boundRef{node: node, ref: ref, sig: name, bit: bit})
 		}
-		if rtlSim.Design().SignalIndex(name) < 0 {
-			return fmt.Errorf("shadow: unknown RTL signal %q", name)
-		}
-		return nil
+		sort.Slice(refs, func(i, j int) bool { return refs[i].node < refs[j].node })
+		return refs, nil
 	}
-	for node, sig := range b.Inputs {
-		if ckt.Circuit().FindNode(node) < 0 {
-			return nil, fmt.Errorf("shadow: input binding to unknown circuit node %q", node)
-		}
-		if err := checkRef(sig); err != nil {
-			return nil, err
-		}
+	ins, err := resolve("input", b.Inputs)
+	if err != nil {
+		return nil, err
 	}
-	for node, sig := range b.Outputs {
-		if ckt.Circuit().FindNode(node) < 0 {
-			return nil, fmt.Errorf("shadow: output binding to unknown circuit node %q", node)
-		}
-		if err := checkRef(sig); err != nil {
-			return nil, err
-		}
+	outs, err := resolve("output", b.Outputs)
+	if err != nil {
+		return nil, err
 	}
 	phases := make(map[string]bool)
-	for _, p := range rtlSim.Design().Phases {
+	for _, p := range d.Phases {
 		phases[p] = true
 	}
 	for node, phase := range b.Clocks {
@@ -97,30 +113,21 @@ func NewPacked(rtlSim *rtl.PackedSim, ckt *switchsim.PackedSim, b Binding) (*Pac
 			return nil, fmt.Errorf("shadow: clock %q bound to unknown phase %q", node, phase)
 		}
 	}
-	s := &PackedShadow{RTL: rtlSim, Ckt: ckt, b: b, MaxMismatches: 100, blockIdx: -1}
-	for n := range b.Outputs {
-		s.outNodes = append(s.outNodes, n)
-	}
-	sort.Strings(s.outNodes)
-	return s, nil
+	return &PackedShadow{RTL: rtlSim, Ckt: ckt, b: b, ins: ins, outs: outs, MaxMismatches: 100, blockIdx: -1}, nil
 }
 
-// rtlPlane reads one RTL bit across all 64 lanes as a word.
-func (s *PackedShadow) rtlPlane(ref string) uint64 {
-	name, bit, _ := splitRef(ref)
-	s.planeBuf = s.RTL.GetPlanes(name, s.planeBuf)
-	if bit >= len(s.planeBuf) {
-		return 0
-	}
-	return s.planeBuf[bit]
+// rtlPlane reads one bound RTL bit across all 64 lanes as a word.
+func (s *PackedShadow) rtlPlane(r boundRef) uint64 {
+	s.planeBuf = s.RTL.GetPlanes(r.sig, s.planeBuf)
+	return s.planeBuf[r.bit]
 }
 
 // driveInputs copies the RTL's current lane planes onto the circuit's
 // bound inputs: one plane word drives 64 circuit lanes.
 func (s *PackedShadow) driveInputs() {
-	for node, ref := range s.b.Inputs {
-		pl := s.rtlPlane(ref)
-		s.Ckt.SetQuietLanes(node, pl, ^pl)
+	for _, r := range s.ins {
+		pl := s.rtlPlane(r)
+		s.Ckt.SetQuietLanes(r.node, pl, ^pl)
 	}
 }
 
@@ -133,46 +140,35 @@ func (s *PackedShadow) setClocks(active string) {
 
 // compare checks all bound outputs across all lanes after a phase: a
 // lane agrees when the circuit resolved to exactly the RTL's bit value
-// (X and floating never match). Bad lanes are recorded ascending.
+// (X and floating never match). Every lane comparison is counted; bad
+// lanes are recorded ascending until the log holds MaxMismatches.
 func (s *PackedShadow) compare(phase string) {
-	for _, node := range s.outNodes {
-		ref := s.b.Outputs[node]
-		want := s.rtlPlane(ref)
-		hi, lo := s.Ckt.GetLanes(node)
+	for _, o := range s.outs {
+		want := s.rtlPlane(o)
+		hi, lo := s.Ckt.GetLanes(o.node)
 		s.Compared += switchsim.Lanes
 		ok := (hi &^ lo & want) | (lo &^ hi &^ want)
-		for bad := ^ok; bad != 0; bad &= bad - 1 {
-			if len(s.Mismatches) >= s.MaxMismatches {
-				return
-			}
-			lane := trailingZeros(bad)
+		for bad := ^ok; bad != 0 && len(s.Mismatches) < s.MaxMismatches; bad &= bad - 1 {
+			lane := bits.TrailingZeros64(bad)
 			s.Mismatches = append(s.Mismatches, PackedMismatch{
 				Block:   s.blockIdx,
 				Lane:    lane,
 				Cycle:   s.RTL.Cycles(),
 				Phase:   phase,
-				Node:    node,
-				Signal:  ref,
+				Node:    o.node,
+				Signal:  o.ref,
 				RTL:     (want >> uint(lane)) & 1,
-				Circuit: s.Ckt.GetLane(node, lane),
+				Circuit: s.Ckt.GetLane(o.node, lane),
 			})
 		}
 	}
 }
 
-// trailingZeros is bits.TrailingZeros64 without pulling math/bits into
-// the package API surface.
-func trailingZeros(x uint64) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
-}
-
 // Phase advances both sides through one clock phase and compares all 64
-// lanes — the same settle choreography as the scalar Shadow.
+// lanes. The circuit first sees the new input values with all clocks
+// low — the precharge/setup window dynamic logic requires — then the
+// phase clock rises (evaluate/transparent) and the outputs are compared
+// against the RTL after its phase executes.
 func (s *PackedShadow) Phase(phase string) {
 	s.setClocks("")
 	s.driveInputs()

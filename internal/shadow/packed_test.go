@@ -9,8 +9,9 @@ import (
 	"repro/internal/switchsim"
 )
 
-// newPackedShadow builds the standard XOR shadow setup, 64 lanes wide.
-func newPackedShadow(t *testing.T, ckt *netlist.Circuit) *PackedShadow {
+// newPackedShadow builds a 64-lane shadow of the XOR RTL over the given
+// circuit.
+func newPackedShadow(t *testing.T, ckt *netlist.Circuit, b Binding) *PackedShadow {
 	t.Helper()
 	prog, err := rtl.ParseString(rtlXor)
 	if err != nil {
@@ -24,18 +25,14 @@ func newPackedShadow(t *testing.T, ckt *netlist.Circuit) *PackedShadow {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := NewPacked(rs, cs, Binding{
-		Inputs:  map[string]string{"a": "a", "b": "b"},
-		Outputs: map[string]string{"y": "y"},
-	})
+	sh, err := NewPacked(rs, cs, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sh
 }
 
-// brokenXor is cktXor with n2's gate rewired to bn — the seeded defect
-// the scalar shadow tests use.
+// brokenXor is cktXor with n2's gate rewired to bn — the seeded defect.
 func brokenXor() *netlist.Circuit {
 	bad := cktXor()
 	for _, d := range bad.Devices {
@@ -47,7 +44,7 @@ func brokenXor() *netlist.Circuit {
 }
 
 func TestPackedShadowCleanOnCorrectCircuit(t *testing.T) {
-	sh := newPackedShadow(t, cktXor())
+	sh := newPackedShadow(t, cktXor(), xorBind())
 	ok, err := sh.RandomRun(20, 77, "a", "b")
 	if err != nil {
 		t.Fatal(err)
@@ -64,10 +61,10 @@ func TestPackedShadowCleanOnCorrectCircuit(t *testing.T) {
 // packed shadow's mismatch set must equal the union over lanes of 64
 // scalar shadows fed that lane's stimulus, with correct lane indices.
 func TestPackedShadowMatchesScalarPerLane(t *testing.T) {
-	packed := newPackedShadow(t, brokenXor())
+	packed := newPackedShadow(t, brokenXor(), xorBind())
 	scalars := make([]*Shadow, switchsim.Lanes)
 	for i := range scalars {
-		scalars[i] = newShadow(t, brokenXor())
+		scalars[i] = newShadow(t, brokenXor(), xorBind())
 	}
 	packed.MaxMismatches = 1 << 20
 	for i := range scalars {

@@ -13,16 +13,17 @@
 // compares the circuit's outputs against the RTL signals they shadow.
 // Mismatches are recorded, never patched back — the RTL remains the
 // golden reference and the circuit is the thing on trial.
+//
+// PackedShadow (packed.go) is the shadow: both sides carry 64
+// independent stimulus lanes, and every phase compares all of them. The
+// one-vector Shadow lives in scalar_test.go as the oracle each packed
+// lane is checked against.
 package shadow
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-
-	"repro/internal/rtl"
-	"repro/internal/switchsim"
 )
 
 // Binding wires circuit nodes to RTL signals. RTL references may select
@@ -35,81 +36,6 @@ type Binding struct {
 	// Clocks maps circuit clock node → RTL phase name; the node is
 	// driven high while its phase executes and low otherwise.
 	Clocks map[string]string
-}
-
-// Mismatch records one shadow comparison failure.
-type Mismatch struct {
-	Cycle   uint64
-	Phase   string
-	Node    string // circuit node
-	Signal  string // RTL reference
-	RTL     uint64
-	Circuit switchsim.Value
-}
-
-// String formats the mismatch for logs.
-func (m Mismatch) String() string {
-	return fmt.Sprintf("cycle %d %s: circuit %s=%v, rtl %s=%d",
-		m.Cycle, m.Phase, m.Node, m.Circuit, m.Signal, m.RTL)
-}
-
-// Shadow couples an RTL simulation with a circuit block.
-type Shadow struct {
-	RTL *rtl.Sim
-	Ckt *switchsim.Sim
-	b   Binding
-
-	// Mismatches accumulates comparison failures (bounded).
-	Mismatches []Mismatch
-	// Compared counts output comparisons performed.
-	Compared int
-	// MaxMismatches bounds the log (default 100).
-	MaxMismatches int
-}
-
-// New validates the binding and returns a coupled shadow simulation.
-func New(rtlSim *rtl.Sim, ckt *switchsim.Sim, b Binding) (*Shadow, error) {
-	for node, sig := range b.Inputs {
-		if ckt.Circuit().FindNode(node) < 0 {
-			return nil, fmt.Errorf("shadow: input binding to unknown circuit node %q", node)
-		}
-		if err := checkRTLRef(rtlSim, sig); err != nil {
-			return nil, err
-		}
-	}
-	for node, sig := range b.Outputs {
-		if ckt.Circuit().FindNode(node) < 0 {
-			return nil, fmt.Errorf("shadow: output binding to unknown circuit node %q", node)
-		}
-		if err := checkRTLRef(rtlSim, sig); err != nil {
-			return nil, err
-		}
-	}
-	phases := make(map[string]bool)
-	for _, p := range rtlSim.Design().Phases {
-		phases[p] = true
-	}
-	for node, phase := range b.Clocks {
-		if ckt.Circuit().FindNode(node) < 0 {
-			return nil, fmt.Errorf("shadow: clock binding to unknown circuit node %q", node)
-		}
-		if !phases[phase] {
-			return nil, fmt.Errorf("shadow: clock %q bound to unknown phase %q", node, phase)
-		}
-	}
-	return &Shadow{RTL: rtlSim, Ckt: ckt, b: b, MaxMismatches: 100}, nil
-}
-
-// checkRTLRef validates a "name" or "name[bit]" RTL reference.
-func checkRTLRef(s *rtl.Sim, ref string) error {
-	name, _, err := splitRef(ref)
-	if err != nil {
-		return err
-	}
-	if s.Design().SignalIndex(name) < 0 {
-		return fmt.Errorf("shadow: unknown RTL signal %q", name)
-	}
-	return nil
 }
 
 // splitRef parses "name" or "name[bit]".
@@ -125,115 +51,4 @@ func splitRef(ref string) (name string, bit int, err error) {
 		return ref[:i], b, nil
 	}
 	return ref, 0, nil
-}
-
-// rtlBit reads the bound RTL bit.
-func (s *Shadow) rtlBit(ref string) uint64 {
-	name, bit, _ := splitRef(ref)
-	return (s.RTL.Get(name) >> uint(bit)) & 1
-}
-
-// driveInputs copies current RTL values onto the circuit's bound inputs.
-func (s *Shadow) driveInputs() {
-	for node, ref := range s.b.Inputs {
-		s.Ckt.SetQuiet(node, switchsim.Bool(s.rtlBit(ref) != 0))
-	}
-}
-
-// setClocks drives the circuit clocks for the active phase.
-func (s *Shadow) setClocks(active string) {
-	for node, phase := range s.b.Clocks {
-		s.Ckt.SetQuiet(node, switchsim.Bool(phase == active))
-	}
-}
-
-// compare checks all bound outputs after a phase.
-func (s *Shadow) compare(phase string) {
-	nodes := make([]string, 0, len(s.b.Outputs))
-	for n := range s.b.Outputs {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	for _, node := range nodes {
-		ref := s.b.Outputs[node]
-		want := s.rtlBit(ref)
-		got := s.Ckt.Get(node)
-		s.Compared++
-		if got == switchsim.Bool(want != 0) {
-			continue
-		}
-		if len(s.Mismatches) < s.MaxMismatches {
-			s.Mismatches = append(s.Mismatches, Mismatch{
-				Cycle:   s.RTL.Cycles(),
-				Phase:   phase,
-				Node:    node,
-				Signal:  ref,
-				RTL:     want,
-				Circuit: got,
-			})
-		}
-	}
-}
-
-// Phase advances both sides through one clock phase and compares. The
-// circuit first sees the new input values with all clocks low — the
-// precharge/setup window dynamic logic requires — then the phase clock
-// rises (evaluate/transparent) and the outputs are compared against the
-// RTL after its phase executes.
-func (s *Shadow) Phase(phase string) {
-	s.setClocks("")
-	s.driveInputs()
-	s.Ckt.Settle()
-	s.setClocks(phase)
-	s.Ckt.Settle()
-	s.RTL.Phase(phase)
-	s.compare(phase)
-	// Drop the clock (precharge/hold window before the next phase).
-	s.setClocks("")
-	s.Ckt.Settle()
-}
-
-// Cycle advances one full clock cycle through all RTL phases.
-func (s *Shadow) Cycle() {
-	for _, p := range s.RTL.Design().Phases {
-		s.Phase(p)
-	}
-}
-
-// Run executes n cycles and reports whether the shadow stayed clean.
-func (s *Shadow) Run(n int) bool {
-	for i := 0; i < n; i++ {
-		s.Cycle()
-	}
-	return len(s.Mismatches) == 0
-}
-
-// Report summarizes the run.
-func (s *Shadow) Report() string {
-	if len(s.Mismatches) == 0 {
-		return fmt.Sprintf("shadow: %d comparisons, no mismatches", s.Compared)
-	}
-	out := fmt.Sprintf("shadow: %d comparisons, %d mismatches:\n", s.Compared, len(s.Mismatches))
-	for _, m := range s.Mismatches {
-		out += "  " + m.String() + "\n"
-	}
-	return out
-}
-
-// RandomRun drives pseudo-random vectors on the given RTL inputs for n
-// cycles (§4.1's pseudo-random stimulus), shadowing throughout. It
-// returns true when no mismatch was recorded. The seed makes failures
-// reproducible.
-func (s *Shadow) RandomRun(n int, seed int64, inputs ...string) (bool, error) {
-	stim, err := rtl.NewStimulus(s.RTL, seed, inputs...)
-	if err != nil {
-		return false, err
-	}
-	for i := 0; i < n; i++ {
-		// Vector applies the random inputs without advancing the RTL
-		// clock; the shadow owns the cycle so both sides stay in step.
-		stim.Vector()
-		s.Cycle()
-	}
-	return len(s.Mismatches) == 0, nil
 }

@@ -46,74 +46,28 @@ func cktXor() *netlist.Circuit {
 	return c
 }
 
-// newShadow builds the standard XOR shadow setup.
-func newShadow(t *testing.T, ckt *netlist.Circuit) *Shadow {
-	t.Helper()
-	prog, err := rtl.ParseString(rtlXor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := rtl.NewSim(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, err := switchsim.New(ckt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := New(rs, cs, Binding{
+// xorBind drives the XOR's inputs from the RTL and shadows its output.
+func xorBind() Binding {
+	return Binding{
 		Inputs:  map[string]string{"a": "a", "b": "b"},
 		Outputs: map[string]string{"y": "y"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sh
-}
-
-func TestShadowCleanOnCorrectCircuit(t *testing.T) {
-	sh := newShadow(t, cktXor())
-	// Walk all four input combinations over several cycles.
-	for cyc := 0; cyc < 8; cyc++ {
-		if err := sh.RTL.Set("a", uint64(cyc)&1); err != nil {
-			t.Fatal(err)
-		}
-		if err := sh.RTL.Set("b", uint64(cyc>>1)&1); err != nil {
-			t.Fatal(err)
-		}
-		sh.Cycle()
-	}
-	if len(sh.Mismatches) != 0 {
-		t.Fatalf("clean circuit mismatched:\n%s", sh.Report())
-	}
-	if sh.Compared == 0 {
-		t.Fatal("no comparisons performed")
-	}
-	if !strings.Contains(sh.Report(), "no mismatches") {
-		t.Error("report should say no mismatches")
 	}
 }
 
 func TestShadowCatchesBug(t *testing.T) {
-	// Introduce the classic full-custom bug: swap one series device's
-	// gate so the pulldown computes the wrong function.
-	bad := cktXor()
-	for _, d := range bad.Devices {
-		if d.Name == "n2" {
-			d.Gate = bad.Node("bn") // was b
-		}
-	}
-	sh := newShadow(t, bad)
+	// The classic full-custom bug: one series device's gate swapped so
+	// the pulldown computes the wrong function.
+	sh := newPackedShadow(t, brokenXor(), xorBind())
 	for cyc := 0; cyc < 8; cyc++ {
-		_ = sh.RTL.Set("a", uint64(cyc)&1)
-		_ = sh.RTL.Set("b", uint64(cyc>>1)&1)
+		_ = sh.RTL.SetAll("a", uint64(cyc)&1)
+		_ = sh.RTL.SetAll("b", uint64(cyc>>1)&1)
 		sh.Cycle()
 	}
 	if len(sh.Mismatches) == 0 {
 		t.Fatal("shadow failed to catch a wired-wrong pulldown")
 	}
 	m := sh.Mismatches[0]
-	if m.Node != "y" || m.Signal != "y" {
+	if m.Node != "y" || m.Signal != "y" || m.Lane != 0 {
 		t.Errorf("mismatch identifies wrong objects: %+v", m)
 	}
 	if !strings.Contains(sh.Report(), "mismatches:") {
@@ -124,83 +78,28 @@ func TestShadowCatchesBug(t *testing.T) {
 func TestShadowDoesNotPatchRTL(t *testing.T) {
 	// "shadowing (not replacing)": RTL results must be unaffected by a
 	// broken circuit.
-	good := newShadow(t, cktXor())
-	bad := newShadow(t, func() *netlist.Circuit {
-		c := cktXor()
-		for _, d := range c.Devices {
-			if d.Name == "n1" {
-				d.Gate = c.Node("an")
-			}
-		}
-		return c
-	}())
+	good := newPackedShadow(t, cktXor(), xorBind())
+	bad := newPackedShadow(t, brokenXor(), xorBind())
 	for cyc := 0; cyc < 4; cyc++ {
-		for _, sh := range []*Shadow{good, bad} {
-			_ = sh.RTL.Set("a", 1)
-			_ = sh.RTL.Set("b", uint64(cyc)&1)
+		bPl := uint64(cyc+1) * 0x9e3779b97f4a7c15
+		for _, sh := range []*PackedShadow{good, bad} {
+			_ = sh.RTL.SetAll("a", 1)
+			_ = sh.RTL.SetPlanes("b", []uint64{bPl})
 			sh.Cycle()
 		}
-		if good.RTL.Get("q") != bad.RTL.Get("q") {
+		if gq, bq := good.RTL.GetPlanes("q", nil), bad.RTL.GetPlanes("q", nil); gq[0] != bq[0] {
 			t.Fatal("a shadow mismatch leaked into RTL state")
 		}
 	}
-}
-
-func TestShadowClockedLatch(t *testing.T) {
-	// Shadow a transmission-gate latch against the RTL register.
-	const src = `
-module top(d -> q)
-reg r @phi1
-on phi1: r <= d
-assign q = r
-endmodule
-`
-	prog, err := rtl.ParseString(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := rtl.NewSim(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := netlist.New("latch")
-	c.DeclarePort("d")
-	c.NMOS("pass", "phi1", "d", "m", 8, 0.75)
-	c.NMOS("fwd_n", "m", "vss", "qn", 2, 0.75)
-	c.PMOS("fwd_p", "m", "vdd", "qn", 4, 0.75)
-	c.NMOS("out_n", "qn", "vss", "q", 2, 0.75)
-	c.PMOS("out_p", "qn", "vdd", "q", 4, 0.75)
-	c.NMOS("fb_n", "q", "vss", "m", 1, 1.5) // weak keeper
-	c.PMOS("fb_p", "q", "vdd", "m", 1, 1.5)
-	cs, err := switchsim.New(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := New(rs, cs, Binding{
-		Inputs:  map[string]string{"d": "d"},
-		Outputs: map[string]string{"q": "q"},
-		Clocks:  map[string]string{"phi1": "phi1"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := []uint64{1, 0, 1, 1, 0, 0, 1}
-	for _, v := range seq {
-		_ = sh.RTL.Set("d", v)
-		sh.Cycle()
-		if got := sh.RTL.Get("q"); got != v {
-			t.Fatalf("RTL latch broken: q=%d want %d", got, v)
-		}
-	}
-	if len(sh.Mismatches) != 0 {
-		t.Errorf("latch shadow mismatched:\n%s", sh.Report())
+	if len(bad.Mismatches) == 0 {
+		t.Fatal("broken circuit never mismatched — test is vacuous")
 	}
 }
 
 func TestBindingValidation(t *testing.T) {
 	prog, _ := rtl.ParseString(rtlXor)
-	rs, _ := rtl.NewSim(prog)
-	cs, _ := switchsim.New(cktXor())
+	rs, _ := rtl.NewPackedSim(prog)
+	cs, _ := switchsim.NewPacked(cktXor())
 	cases := []Binding{
 		{Inputs: map[string]string{"nope": "a"}},
 		{Inputs: map[string]string{"a": "nosig"}},
@@ -210,22 +109,29 @@ func TestBindingValidation(t *testing.T) {
 		{Clocks: map[string]string{"a": "phi9"}},
 		{Inputs: map[string]string{"a": "a[bad"}},
 		{Inputs: map[string]string{"a": "a[99]"}},
+		// Bit selects at or past the width of a 1-bit signal.
+		{Inputs: map[string]string{"a": "a[1]"}},
+		{Inputs: map[string]string{"b": "b[5]"}},
+		{Outputs: map[string]string{"y": "y[7]"}},
 	}
 	for i, b := range cases {
-		if _, err := New(rs, cs, b); err == nil {
+		if _, err := NewPacked(rs, cs, b); err == nil {
 			t.Errorf("binding %d accepted: %+v", i, b)
 		}
 	}
 }
 
 func TestBitSelectBinding(t *testing.T) {
+	// The phi1 register gives the design a clock phase to compare in.
 	const src = `
 module top(v[4] -> y)
+reg r @phi1
+on phi1: r <= v[2]
 assign y = v[2]
 endmodule
 `
 	prog, _ := rtl.ParseString(src)
-	rs, err := rtl.NewSim(prog)
+	rs, err := rtl.NewPackedSim(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,71 +142,62 @@ endmodule
 	c.PMOS("p1", "in", "vdd", "mid", 4, 0.75)
 	c.NMOS("n2", "mid", "vss", "out", 2, 0.75)
 	c.PMOS("p2", "mid", "vdd", "out", 4, 0.75)
-	cs, _ := switchsim.New(c)
-	sh, err := New(rs, cs, Binding{
+	cs, _ := switchsim.NewPacked(c)
+	sh, err := NewPacked(rs, cs, Binding{
 		Inputs:  map[string]string{"in": "v[2]"},
 		Outputs: map[string]string{"out": "y"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = sh.RTL.Set("v", 0b0100)
-	sh.Cycle()
-	_ = sh.RTL.Set("v", 0b1011)
-	sh.Cycle()
-	if len(sh.Mismatches) != 0 {
-		t.Errorf("bit-select shadow mismatched:\n%s", sh.Report())
+	if ok, err := sh.RandomRun(4, 3, "v"); err != nil || !ok {
+		t.Errorf("bit-select shadow mismatched (err %v):\n%s", err, sh.Report())
+	}
+	if want := 4 * switchsim.Lanes; sh.Compared != want {
+		t.Errorf("Compared = %d, want %d", sh.Compared, want)
 	}
 }
 
+// TestMismatchCap binds two outputs, one wrong in every lane (an is a's
+// complement), under a small cap: the log stops at the cap, but every
+// lane comparison is still counted, 64 for each of the oracle's.
 func TestMismatchCap(t *testing.T) {
-	bad := cktXor()
-	for _, d := range bad.Devices {
-		if d.Name == "n2" {
-			d.Gate = bad.Node("bn")
-		}
+	bind := xorBind()
+	bind.Outputs["an"] = "a"
+	packed := newPackedShadow(t, brokenXor(), bind)
+	oracle := newShadow(t, brokenXor(), bind)
+	packed.MaxMismatches, oracle.MaxMismatches = 3, 3
+	const cycles = 10
+	for cyc := 0; cyc < cycles; cyc++ {
+		b := uint64(cyc) & 1
+		_ = packed.RTL.SetAll("a", 1)
+		_ = packed.RTL.SetAll("b", b)
+		_ = oracle.RTL.Set("a", 1)
+		_ = oracle.RTL.Set("b", b)
+		packed.Cycle()
+		oracle.Cycle()
 	}
-	sh := newShadow(t, bad)
-	sh.MaxMismatches = 3
-	_ = sh.RTL.Set("a", 1)
-	_ = sh.RTL.Set("b", 0)
-	for i := 0; i < 50; i++ {
-		sh.Cycle()
+	if len(packed.Mismatches) != 3 {
+		t.Errorf("mismatch log holds %d, want the cap of 3", len(packed.Mismatches))
 	}
-	if len(sh.Mismatches) > 3 {
-		t.Errorf("mismatch log exceeded cap: %d", len(sh.Mismatches))
+	if want := cycles * 2 * switchsim.Lanes; packed.Compared != want {
+		t.Errorf("Compared = %d, want %d", packed.Compared, want)
+	}
+	if packed.Compared != switchsim.Lanes*oracle.Compared {
+		t.Errorf("Compared = %d, want 64 x the oracle's %d", packed.Compared, oracle.Compared)
 	}
 }
 
 func TestShadowRandomRun(t *testing.T) {
-	sh := newShadow(t, cktXor())
+	sh := newPackedShadow(t, brokenXor(), xorBind())
 	ok, err := sh.RandomRun(40, 1997, "a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatalf("random run mismatched:\n%s", sh.Report())
-	}
-	if sh.Compared < 40 {
-		t.Errorf("compared = %d", sh.Compared)
-	}
-	// Unknown input is rejected.
-	if _, err := sh.RandomRun(1, 0, "zz"); err == nil {
-		t.Error("unknown stimulus input accepted")
-	}
-	// And a broken circuit is caught by random stimulus too.
-	bad := cktXor()
-	for _, d := range bad.Devices {
-		if d.Name == "n2" {
-			d.Gate = bad.Node("bn")
-		}
-	}
-	shBad := newShadow(t, bad)
-	ok, err = shBad.RandomRun(40, 1997, "a", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok {
 		t.Error("random stimulus missed the wired-wrong pulldown")
+	}
+	if _, err := sh.RandomRun(1, 0, "zz"); err == nil {
+		t.Error("unknown stimulus input accepted")
 	}
 }

@@ -7,34 +7,7 @@ import (
 	"repro/internal/switchsim"
 )
 
-// Allocation regression pin for worklist settling: after the first
-// Settle grows the scratch buffers, a full clock/data step must settle
-// without allocating at all.
-func TestSettleAllocs(t *testing.T) {
-	c := designs.DominoAdder(16)
-	sim, err := switchsim.New(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Settle()
-	i := 0
-	avg := testing.AllocsPerRun(10, func() {
-		sim.SetQuiet("phi", switchsim.Lo)
-		sim.Settle()
-		sim.SetQuiet("a0", switchsim.Bool(i%2 == 0))
-		sim.SetQuiet("b0", switchsim.Hi)
-		sim.SetQuiet("phi", switchsim.Hi)
-		sim.Settle()
-		i++
-	})
-	if avg > 2 {
-		t.Fatalf("Settle step allocates %.1f/op, want <= 2 (seed was ~8)", avg)
-	}
-}
-
-// Packed settling must be allocation-free steady-state: one settle
-// carries 64 lanes, so a single stray allocation per settle costs 64x
-// less than scalar — but the bound is still zero, because the packed
+// Packed settling must be allocation-free steady-state: the packed
 // scratch planes are all preallocated in NewPacked.
 func TestPackedSettleAllocs(t *testing.T) {
 	c := designs.DominoAdder(16)

@@ -7,12 +7,12 @@ import (
 	"repro/internal/switchsim"
 )
 
-// BenchmarkSettleKernel measures worklist settling throughput: clocked
-// stimulus walked through the domino adder, the workload whose dirty
-// cone the worklist scheduler was built for.
+// BenchmarkSettleKernel measures the scalar oracle's worklist settling
+// throughput: clocked stimulus walked through the domino adder, the
+// workload whose dirty cone the worklist scheduler was built for.
 func BenchmarkSettleKernel(b *testing.B) {
 	c := designs.DominoAdder(16)
-	sim, err := switchsim.New(c)
+	sim, err := switchsim.NewScalar(c)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -17,8 +17,9 @@ package switchsim
 // are hi&lo, and an NMOS channel definitely conducts exactly in its
 // gate's hi&^lo lanes.
 //
-// Correctness contract: lane l of a PackedSim is bit-identical to a
-// scalar Sim driven with lane l's stimulus, for every lane, including
+// Correctness contract: lane l of a PackedSim is bit-identical to the
+// scalar oracle (Scalar, in scalar_test.go) driven with lane l's
+// stimulus, for every lane, including
 // X propagation, charge retention, charge-sharing degradation, fight
 // resolution and oscillation cutoff. The packed_test.go differential
 // suite pins this against the scalar oracle across the design corpus.
@@ -44,9 +45,10 @@ const Lanes = 64
 // allLanes is the full lane mask.
 const allLanes = ^uint64(0)
 
-// PackedSim is a 64-lane switch-level simulator over one flat circuit.
-// It shares the scalar Sim's component topology and dirty-component
-// worklist schedule; every settle evaluates all 64 lanes at once.
+// PackedSim is a 64-lane switch-level simulator over one flat circuit,
+// and the package's only engine. It settles on a dirty-component
+// worklist over the circuit's component topology; every settle
+// evaluates all 64 lanes at once.
 type PackedSim struct {
 	*topology
 	// hi/lo are the dual-rail value planes, one word of lanes per node.
@@ -60,7 +62,7 @@ type PackedSim struct {
 	compEvals int
 	obs       *obs.Collector
 
-	// Dirty-component worklist (mirrors the scalar Sim's).
+	// Dirty-component worklist (mirrors the scalar oracle's).
 	dirty     []bool
 	dirtyList []int
 	wave      []int
@@ -279,9 +281,9 @@ func (p *PackedSim) SetObserver(c *obs.Collector) {
 }
 
 // Settle relaxes all 64 lanes to their fixed points and returns the
-// wave count. The schedule is the scalar Sim's dirty-component
-// worklist; a wave evaluates each dirty component once across every
-// lane simultaneously.
+// wave count. The schedule is a dirty-component worklist, the same as
+// the scalar oracle's; a wave evaluates each dirty component once
+// across every lane simultaneously.
 func (p *PackedSim) Settle() int {
 	prevEvals := p.compEvals
 	iters := p.settleLoop()
@@ -293,7 +295,7 @@ func (p *PackedSim) Settle() int {
 	return iters
 }
 
-// settleLoop mirrors the scalar settleLoop wave-for-wave. Because a
+// settleLoop mirrors the scalar oracle's Settle wave-for-wave. Because a
 // wave's evaluation is a pure per-lane function of the pre-wave state
 // (Jacobi), and re-evaluating a lane-clean component is idempotent in
 // that lane, every lane's value trajectory here is identical to the

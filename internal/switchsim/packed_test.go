@@ -1,7 +1,7 @@
 package switchsim_test
 
 // Differential lane-vs-scalar equivalence: every lane of a PackedSim
-// must be bit-identical to an independent scalar Sim driven with that
+// must be bit-identical to an independent Scalar oracle driven with that
 // lane's stimulus — including X propagation (X stimulus lanes are
 // injected), charge retention on released nodes, charge-sharing
 // degradation and fight resolution. The scalar engine is the oracle;
@@ -112,7 +112,7 @@ func (ls laneStim) value(lane int) switchsim.Value {
 
 // comparePackedScalar asserts every lane of the packed sim matches its
 // scalar twin on every non-supply node.
-func comparePackedScalar(t *testing.T, label string, p *switchsim.PackedSim, scalars []*switchsim.Sim) {
+func comparePackedScalar(t *testing.T, label string, p *switchsim.PackedSim, scalars []*switchsim.Scalar) {
 	t.Helper()
 	c := p.Circuit()
 	for id := range c.Nodes {
@@ -141,9 +141,9 @@ func runPackedDiff(t *testing.T, c *netlist.Circuit, steps int, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalars := make([]*switchsim.Sim, switchsim.Lanes)
+	scalars := make([]*switchsim.Scalar, switchsim.Lanes)
 	for i := range scalars {
-		s, err := switchsim.New(c)
+		s, err := switchsim.NewScalar(c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,12 +18,12 @@ import (
 // refSettle applies a stimulus step to the reference sim using the
 // full-sweep schedule (SetQuiet marks dirty; settleFull ignores and
 // clears the marks).
-func refSet(s *Sim, name string, v Value) {
+func refSet(s *Scalar, name string, v Value) {
 	s.SetQuiet(name, v)
 	s.settleFull()
 }
 
-func refRelease(s *Sim, name string) {
+func refRelease(s *Scalar, name string) {
 	id := s.c.FindNode(name)
 	if id == netlist.InvalidNode || s.c.IsSupply(id) {
 		return
@@ -46,8 +46,8 @@ func release(name string) simOp      { return simOp{name: name, release: true} }
 // comparing full snapshots after the initial settle and after each op.
 func runEquiv(t *testing.T, build func() *netlist.Circuit, ops []simOp) {
 	t.Helper()
-	w := newSim(t, build())
-	ref := newSim(t, build())
+	w := newScalar(t, build())
+	ref := newScalar(t, build())
 	w.Settle()
 	ref.settleFull()
 	compareSnapshots(t, "initial settle", w, ref)
@@ -66,7 +66,7 @@ func runEquiv(t *testing.T, build func() *netlist.Circuit, ops []simOp) {
 	}
 }
 
-func compareSnapshots(t *testing.T, label string, w, ref *Sim) {
+func compareSnapshots(t *testing.T, label string, w, ref *Scalar) {
 	t.Helper()
 	ws, rs := w.Snapshot(), ref.Snapshot()
 	for name, rv := range rs {
