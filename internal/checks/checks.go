@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/netlist"
 	"repro/internal/process"
 	"repro/internal/recognize"
 )
@@ -191,7 +192,32 @@ func (r *Report) Summary() string {
 }
 
 // A checkFunc runs one §4.2 check over a recognized circuit.
-type checkFunc func(rec *recognize.Result, opt *Options) []Finding
+type checkFunc func(rec *recognize.Result, opt *Options, sh *shared) []Finding
+
+// shared is the circuit structure the checks of one RunAll or Run call
+// read: the adjacency index and every node's load capacitance. It is
+// built once per call and dropped with it.
+type shared struct {
+	adj   *netlist.Adjacency
+	loads []float64
+}
+
+// prepare validates and defaults opt and builds the shared structure.
+func prepare(rec *recognize.Result, opt *Options) (*shared, error) {
+	if opt.Proc == nil {
+		return nil, fmt.Errorf("checks: missing process model")
+	}
+	if opt.PeriodPS <= 0 {
+		opt.PeriodPS = 1e6 / opt.Proc.ClockFreqMHz // MHz → ps
+	}
+	if opt.ActivityFactor <= 0 {
+		opt.ActivityFactor = 0.15
+	}
+	return &shared{
+		adj:   netlist.NewAdjacency(rec.Circuit),
+		loads: netlist.NodeLoads(rec.Circuit, opt.Proc),
+	}, nil
+}
 
 // battery lists all checks in the paper's order.
 var battery = []struct {
@@ -224,18 +250,13 @@ func CheckNames() []string {
 
 // RunAll executes the full battery.
 func RunAll(rec *recognize.Result, opt Options) (*Report, error) {
-	if opt.Proc == nil {
-		return nil, fmt.Errorf("checks: missing process model")
-	}
-	if opt.PeriodPS <= 0 {
-		opt.PeriodPS = 1e6 / opt.Proc.ClockFreqMHz // MHz → ps
-	}
-	if opt.ActivityFactor <= 0 {
-		opt.ActivityFactor = 0.15
+	sh, err := prepare(rec, &opt)
+	if err != nil {
+		return nil, err
 	}
 	rep := &Report{ByCheck: make(map[string]map[Verdict]int)}
 	for _, b := range battery {
-		fs := b.fn(rec, &opt)
+		fs := b.fn(rec, &opt, sh)
 		rep.Findings = append(rep.Findings, fs...)
 		m := rep.ByCheck[b.name]
 		if m == nil {
@@ -246,25 +267,20 @@ func RunAll(rec *recognize.Result, opt Options) (*Report, error) {
 			m[f.Verdict]++
 		}
 	}
-	attachProvenance(rep.Findings, rec)
+	attachProvenance(rep.Findings, rec, sh.adj)
 	return rep, nil
 }
 
 // Run executes a single named check.
 func Run(name string, rec *recognize.Result, opt Options) ([]Finding, error) {
-	if opt.Proc == nil {
-		return nil, fmt.Errorf("checks: missing process model")
-	}
-	if opt.PeriodPS <= 0 {
-		opt.PeriodPS = 1e6 / opt.Proc.ClockFreqMHz
-	}
-	if opt.ActivityFactor <= 0 {
-		opt.ActivityFactor = 0.15
+	sh, err := prepare(rec, &opt)
+	if err != nil {
+		return nil, err
 	}
 	for _, b := range battery {
 		if b.name == name {
-			fs := b.fn(rec, &opt)
-			attachProvenance(fs, rec)
+			fs := b.fn(rec, &opt, sh)
+			attachProvenance(fs, rec, sh.adj)
 			return fs, nil
 		}
 	}

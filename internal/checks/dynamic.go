@@ -17,11 +17,11 @@ import (
 // (its driver fights back), so its threshold is generous; a dynamic or
 // state node has no restoring drive while floating, so its threshold is
 // a fraction of the device threshold voltage.
-func checkCoupling(rec *recognize.Result, opt *Options) []Finding {
+func checkCoupling(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 	var out []Finding
 	p := opt.Proc
 	c := rec.Circuit
-	loads := nodeLoads(rec, p)
+	loads := sh.loads
 	vtn := p.Vt(process.NMOS, process.StandardVt, process.Fast)
 
 	// Gather coupling per victim: extracted data plus a wire-fraction
@@ -100,11 +100,11 @@ func checkCoupling(rec *recognize.Result, opt *Options) []Finding {
 // charge with discharged internal nodes: ΔV = Vdd·Cint/(Cint+Cdyn). If
 // that droop approaches the output buffer's threshold, the gate falsely
 // evaluates.
-func checkChargeShare(rec *recognize.Result, opt *Options) []Finding {
+func checkChargeShare(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 	var out []Finding
 	p := opt.Proc
 	c := rec.Circuit
-	loads := nodeLoads(rec, p)
+	loads := sh.loads
 	vtn := p.Vt(process.NMOS, process.StandardVt, process.Fast)
 	for _, g := range rec.Groups {
 		if g.Family != recognize.FamilyDynamic {
@@ -125,7 +125,7 @@ func checkChargeShare(rec *recognize.Result, opt *Options) []Finding {
 			// prove the transient safe (that needs SPICE), so the
 			// finding is capped at Inspect rather than Violation —
 			// exactly the filter-and-let-the-designer-look posture.
-			keeper := hasKeeper(rec, c, f.Node)
+			keeper := hasKeeper(rec, sh.adj, f.Node)
 			detail := fmt.Sprintf("droop %.2f V (Cint %.1f fF vs Cdyn %.1f fF, limit %.2f V)",
 				dv, cint, cdyn, vtn)
 			verdict := verdictFromMargin(margin, 0.3)
@@ -150,8 +150,9 @@ func checkChargeShare(rec *recognize.Result, opt *Options) []Finding {
 
 // hasKeeper reports a non-clock PMOS from vdd on the node (a feedback
 // keeper).
-func hasKeeper(rec *recognize.Result, c *netlist.Circuit, id netlist.NodeID) bool {
-	for _, d := range c.DevicesOn(id) {
+func hasKeeper(rec *recognize.Result, adj *netlist.Adjacency, id netlist.NodeID) bool {
+	c := rec.Circuit
+	for _, d := range adj.Channel(id) {
 		if d.Type == process.PMOS && !rec.IsClock(d.Gate) &&
 			(c.IsVdd(d.Source) || c.IsVdd(d.Drain)) {
 			return true
@@ -167,11 +168,11 @@ func hasKeeper(rec *recognize.Result, c *netlist.Circuit, id netlist.NodeID) boo
 // against the off-tree's subthreshold leakage: t_hold = C·ΔV_max/I_leak
 // must exceed the phase width with margin, or the node needs a keeper
 // (§3's leakage concern, applied at circuit grain).
-func checkDynamicLeakage(rec *recognize.Result, opt *Options) []Finding {
+func checkDynamicLeakage(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 	var out []Finding
 	p := opt.Proc
 	c := rec.Circuit
-	loads := nodeLoads(rec, p)
+	loads := sh.loads
 	vtn := p.Vt(process.NMOS, process.StandardVt, process.Fast)
 	halfPeriod := opt.PeriodPS / 2
 	for _, g := range rec.Groups {
@@ -183,7 +184,7 @@ func checkDynamicLeakage(rec *recognize.Result, opt *Options) []Finding {
 		for _, f := range g.Funcs {
 			keeper := false
 			var leak float64 // µA
-			for _, d := range c.DevicesOn(f.Node) {
+			for _, d := range sh.adj.Channel(f.Node) {
 				if d.Type == process.PMOS && !rec.IsClock(d.Gate) &&
 					(c.IsVdd(d.Source) || c.IsVdd(d.Drain)) {
 					keeper = true

@@ -17,7 +17,7 @@ import (
 // drive; extreme skew signals a sizing mistake. For ratioed groups, the
 // intended winner must overpower the load decisively or the output low
 // level rises into the receiver's threshold.
-func checkBetaRatio(rec *recognize.Result, opt *Options) []Finding {
+func checkBetaRatio(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 	var out []Finding
 	p := opt.Proc
 	c := rec.Circuit
@@ -90,12 +90,12 @@ func bestPathCond(rec *recognize.Result, g *recognize.Group, from, to netlist.No
 // A node's output transition time is R_drv·C_load; edges slower than a
 // few FO4 delays cause short-circuit current in receivers and widen the
 // noise-susceptibility window.
-func checkEdgeRate(rec *recognize.Result, opt *Options) []Finding {
+func checkEdgeRate(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 	var out []Finding
 	p := opt.Proc
 	c := rec.Circuit
 	fo4 := p.FO4ps(process.Typical)
-	loads := nodeLoads(rec, p)
+	loads := sh.loads
 	for _, g := range rec.Groups {
 		for _, f := range g.Funcs {
 			up := bestPathCond(rec, g, f.Node, c.FindNode(netlist.VddName), p)
@@ -127,25 +127,10 @@ func checkEdgeRate(rec *recognize.Result, opt *Options) []Finding {
 	return out
 }
 
-// nodeLoads computes nominal load capacitance per node.
-func nodeLoads(rec *recognize.Result, p *process.Process) []float64 {
-	c := rec.Circuit
-	loads := make([]float64, len(c.Nodes))
-	for i, n := range c.Nodes {
-		loads[i] = n.CapFF
-	}
-	for _, d := range c.Devices {
-		loads[d.Gate] += p.CgateFF(d.W, d.Leff())
-		loads[d.Source] += p.CdiffFF(d.W)
-		loads[d.Drain] += p.CdiffFF(d.W)
-	}
-	return loads
-}
-
 // checkLatch — "Latch checks." Every recognized state loop must be
 // clocked or be a deliberate keeper (static loop of exactly two
 // complementary groups); anything else is reported for inspection.
-func checkLatch(rec *recognize.Result, opt *Options) []Finding {
+func checkLatch(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 	var out []Finding
 	c := rec.Circuit
 	for i, l := range rec.Latches {
@@ -183,7 +168,7 @@ func checkLatch(rec *recognize.Result, opt *Options) []Finding {
 // analysis." For each latch, the write path through its clocked pass
 // devices must overpower the keeper's feedback drive; a keeper that wins
 // makes the latch unwritable.
-func checkWritability(rec *recognize.Result, opt *Options) []Finding {
+func checkWritability(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 	var out []Finding
 	p := opt.Proc
 	c := rec.Circuit
@@ -196,7 +181,7 @@ func checkWritability(rec *recognize.Result, opt *Options) []Finding {
 		write := 0.0
 		var stateNode netlist.NodeID = netlist.InvalidNode
 		for _, sn := range l.StateNodes {
-			for _, d := range c.DevicesOn(sn) {
+			for _, d := range sh.adj.Channel(sn) {
 				if !rec.IsClock(d.Gate) {
 					continue
 				}

@@ -17,7 +17,7 @@ import (
 // margin, and into a dynamic node's retention margin. Domains come from
 // node "supply_domain" attributes plus the per-domain IR drop table in
 // Options; the check evaluates every driver→receiver gate crossing.
-func checkSupplyDifference(rec *recognize.Result, opt *Options) []Finding {
+func checkSupplyDifference(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 	var out []Finding
 	if len(opt.SupplyDropMV) == 0 {
 		return nil // no IR-drop extraction available: nothing to check
@@ -110,11 +110,11 @@ func orCore(d string) string {
 // stored value flips. Only floating (dynamic/state) nodes matter — a
 // driven node is restored. Qcollect defaults to the era-typical value
 // and can be overridden for SER-hardening studies.
-func checkParticle(rec *recognize.Result, opt *Options) []Finding {
+func checkParticle(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 	var out []Finding
 	p := opt.Proc
 	c := rec.Circuit
-	loads := nodeLoads(rec, p)
+	loads := sh.loads
 	qcol := opt.QCollectFC
 	if qcol <= 0 {
 		qcol = 50 // fC, typical alpha deposit of the era

@@ -17,7 +17,7 @@ const evidenceBound = 8
 // reordering; findings on structurally symmetric subjects (which share
 // a signature by construction) are disambiguated with "#n" suffixes in
 // battery order, keeping the ID multiset itself rename-invariant.
-func attachProvenance(fs []Finding, rec *recognize.Result) {
+func attachProvenance(fs []Finding, rec *recognize.Result, adj *netlist.Adjacency) {
 	if len(fs) == 0 {
 		return
 	}
@@ -26,7 +26,7 @@ func attachProvenance(fs []Finding, rec *recognize.Result) {
 	for i := range fs {
 		f := &fs[i]
 		ids[i] = sigs.FindingID("check", f.Check, sigSubject(rec.Circuit, f.Subject))
-		f.Evidence = buildEvidence(rec, f)
+		f.Evidence = buildEvidence(rec, adj, f)
 	}
 	netlist.DisambiguateIDs(ids)
 	for i := range fs {
@@ -58,13 +58,13 @@ func sigSubject(c *netlist.Circuit, subject string) string {
 // nets around the subject plus the recognized topology context. Checks
 // report a normalized margin, so Measured is the margin against a 0
 // threshold.
-func buildEvidence(rec *recognize.Result, f *Finding) Evidence {
+func buildEvidence(rec *recognize.Result, adj *netlist.Adjacency, f *Finding) Evidence {
 	c := rec.Circuit
 	ev := Evidence{Measured: f.Margin, Threshold: 0, Unit: "margin"}
 	name := sigSubject(c, f.Subject)
 	if id := c.FindNode(name); id != netlist.InvalidNode {
 		ev.Nets = append(ev.Nets, c.NodeName(id))
-		for _, d := range c.DevicesOn(id) {
+		for _, d := range adj.Channel(id) {
 			if len(ev.Devices) >= evidenceBound {
 				break
 			}
@@ -86,7 +86,7 @@ func buildEvidence(rec *recognize.Result, f *Finding) Evidence {
 		ev.Context = strings.Join(ctx, ", ")
 		return ev
 	}
-	for _, d := range c.Devices {
+	for i, d := range c.Devices {
 		if d.Name != name {
 			continue
 		}
@@ -97,22 +97,12 @@ func buildEvidence(rec *recognize.Result, f *Finding) Evidence {
 			}
 			ev.Nets = append(ev.Nets, c.NodeName(t))
 		}
-		if gi := deviceGroup(rec, d); gi != nil {
-			ev.Context = gi.Family.String() + " group device"
+		if i < len(rec.GroupOfDevice) {
+			if gi := rec.GroupOfDevice[i]; gi >= 0 && gi < len(rec.Groups) {
+				ev.Context = rec.Groups[gi].Family.String() + " group device"
+			}
 		}
 		return ev
 	}
 	return ev
-}
-
-// deviceGroup finds the recognized group containing a device.
-func deviceGroup(rec *recognize.Result, d *netlist.Device) *recognize.Group {
-	for i, cd := range rec.Circuit.Devices {
-		if cd == d && i < len(rec.GroupOfDevice) {
-			if gi := rec.GroupOfDevice[i]; gi >= 0 && gi < len(rec.Groups) {
-				return rec.Groups[gi]
-			}
-		}
-	}
-	return nil
 }

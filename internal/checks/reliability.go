@@ -16,19 +16,16 @@ import (
 // an RC settling constant; clock edges slower than a small fraction of
 // the period skew every latch fed by the net. The min/max correlation is
 // captured by evaluating at ±tolerance and reporting the worst.
-func checkClockRC(rec *recognize.Result, opt *Options) []Finding {
+func checkClockRC(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 	var out []Finding
-	p := opt.Proc
 	c := rec.Circuit
-	loads := nodeLoads(rec, p)
+	loads := sh.loads
 	limit := opt.PeriodPS * 0.05 // 5% of the cycle
 	const mfgTol = 0.15
 	for _, ck := range rec.Clocks {
 		var r float64
-		for _, res := range c.Resistors {
-			if res.A == ck || res.B == ck {
-				r += res.Ohms
-			}
+		for _, res := range sh.adj.Resistors(ck) {
+			r += res.Ohms
 		}
 		if r == 0 {
 			r = 50 // minimum plausible distribution resistance
@@ -55,11 +52,11 @@ func checkClockRC(rec *recognize.Result, opt *Options) []Finding {
 // the node's "wire_width" attribute when extracted, else minimum width):
 // the absolute limit is a violation; 70% of it is the statistical
 // (cumulative-failure) inspection threshold.
-func checkElectromigration(rec *recognize.Result, opt *Options) []Finding {
+func checkElectromigration(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 	var out []Finding
 	p := opt.Proc
 	c := rec.Circuit
-	loads := nodeLoads(rec, p)
+	loads := sh.loads
 	fGHz := 1e3 / opt.PeriodPS // period in ps → frequency in GHz
 	for _, g := range rec.Groups {
 		for _, f := range g.Funcs {
@@ -97,7 +94,7 @@ func checkElectromigration(rec *recognize.Result, opt *Options) []Finding {
 // come from layout extraction (Options.AntennaRatios or node "antenna"
 // attributes); unannotated nodes are skipped (nothing to check until
 // layout exists).
-func checkAntenna(rec *recognize.Result, opt *Options) []Finding {
+func checkAntenna(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 	var out []Finding
 	p := opt.Proc
 	c := rec.Circuit
@@ -144,7 +141,7 @@ const netlistInvalid = -1
 // design point (nominal Vdd at Lmin) and flags devices pushed beyond it —
 // e.g. a device ported from a higher-voltage domain or an L below the
 // process minimum.
-func checkHotCarrier(rec *recognize.Result, opt *Options) []Finding {
+func checkHotCarrier(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 	var out []Finding
 	p := opt.Proc
 	c := rec.Circuit

@@ -96,10 +96,10 @@ type Interface struct {
 }
 
 // nodeClasses computes the per-node Driven/Channel/Gate classification
-// of a cell given its children's interfaces. Driven-ness is a BFS over
-// the local channel graph (edges = device channels dataflow says can
-// conduct) seeded by the supply rails and every net bound to a driven
-// child port.
+// of a cell given its children's interfaces. Driven-ness is
+// reachability over the local channel graph (edges = device channels
+// dataflow says can conduct) from the supply rails and every net bound
+// to a driven child port.
 func nodeClasses(c *netlist.Circuit, children map[string]*Interface) ([]PortClass, error) {
 	cls := make([]PortClass, len(c.Nodes))
 	for _, d := range c.Devices {
@@ -107,10 +107,10 @@ func nodeClasses(c *netlist.Circuit, children map[string]*Interface) ([]PortClas
 		cls[d.Source].Channel = true
 		cls[d.Drain].Channel = true
 	}
-	seed := make([]bool, len(c.Nodes))
+	var seeds []netlist.NodeID
 	for i := range c.Nodes {
 		if c.IsSupply(netlist.NodeID(i)) {
-			seed[i] = true
+			seeds = append(seeds, netlist.NodeID(i))
 		}
 	}
 	for _, inst := range c.Instances {
@@ -125,7 +125,7 @@ func nodeClasses(c *netlist.Circuit, children map[string]*Interface) ([]PortClas
 		for pos, conn := range inst.Conns {
 			pc := ci.Ports[pos]
 			if pc.Driven {
-				seed[conn] = true
+				seeds = append(seeds, conn)
 			}
 			if pc.Channel {
 				cls[conn].Channel = true
@@ -135,35 +135,11 @@ func nodeClasses(c *netlist.Circuit, children map[string]*Interface) ([]PortClas
 			}
 		}
 	}
-	// Channel-connected reachability from the drive seeds.
-	driven := make([]bool, len(c.Nodes))
-	queue := make([]netlist.NodeID, 0, len(c.Nodes))
-	for i, s := range seed {
-		if s {
-			driven[i] = true
-			queue = append(queue, netlist.NodeID(i))
-		}
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, d := range c.DevicesOn(n) {
-			if !dataflow.CanConduct(c, d) {
-				continue
-			}
-			other := d.Source
-			if other == n {
-				other = d.Drain
-			}
-			if !driven[other] {
-				driven[other] = true
-				queue = append(queue, other)
-			}
-		}
-	}
-	for i := range cls {
-		cls[i].Driven = driven[i]
-	}
+	conducts := func(d *netlist.Device) bool { return dataflow.CanConduct(c, d) }
+	netlist.NewAdjacency(c).Reach(seeds, conducts, false, func(n netlist.NodeID) bool {
+		cls[n].Driven = true
+		return false
+	})
 	return cls, nil
 }
 

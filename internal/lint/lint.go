@@ -110,23 +110,22 @@ type Options struct {
 	// MaxWUm and MaxLUm bound single-device geometry in µm
 	// (0: defaults 1000 and 100).
 	MaxWUm, MaxLUm float64
-	// RatioedMinStrength is the FCV016 margin: the weakest switched
-	// path must beat the strongest always-on load path by this factor
-	// (0: default 2).
-	RatioedMinStrength float64
-	// ChargeShareRatio is the FCV015 suppression threshold: with
-	// explicit node capacitances, internal/output capacitance below
-	// this ratio is harmless (0: default 0.33).
-	ChargeShareRatio float64
 }
 
-func (o Options) fanoutLimit() int            { return defInt(o.FanoutLimit, 64) }
-func (o Options) maxWL() float64              { return defF(o.MaxWL, 500) }
-func (o Options) minWL() float64              { return defF(o.MinWL, 0.02) }
-func (o Options) maxW() float64               { return defF(o.MaxWUm, 1000) }
-func (o Options) maxL() float64               { return defF(o.MaxLUm, 100) }
-func (o Options) ratioedMinStrength() float64 { return defF(o.RatioedMinStrength, 2) }
-func (o Options) chargeShareRatio() float64   { return defF(o.ChargeShareRatio, 0.33) }
+func (o Options) fanoutLimit() int { return defInt(o.FanoutLimit, 64) }
+func (o Options) maxWL() float64   { return defF(o.MaxWL, 500) }
+func (o Options) minWL() float64   { return defF(o.MinWL, 0.02) }
+func (o Options) maxW() float64    { return defF(o.MaxWUm, 1000) }
+func (o Options) maxL() float64    { return defF(o.MaxLUm, 100) }
+
+// ratioedMinStrength is the FCV016 margin: the weakest switched path
+// must beat the strongest always-on load path by this factor.
+const ratioedMinStrength = 2.0
+
+// chargeShareRatio is the FCV015 suppression threshold: with explicit
+// node capacitances, internal/output capacitance below this ratio is
+// harmless.
+const chargeShareRatio = 0.33
 
 func defInt(v, d int) int {
 	if v <= 0 {
@@ -143,7 +142,7 @@ func defF(v, d float64) float64 {
 }
 
 // Context is the per-circuit view rules run against. It carries the
-// recognition result plus structural indexes shared by the rules.
+// recognition result plus the circuit's adjacency index.
 type Context struct {
 	// Circuit is the flat circuit under analysis.
 	Circuit *netlist.Circuit
@@ -152,13 +151,7 @@ type Context struct {
 	// Opt is the run configuration.
 	Opt Options
 
-	// gateReaders maps a node to the devices reading it as a gate,
-	// in device order.
-	gateReaders map[netlist.NodeID][]*netlist.Device
-	// channelRefs counts source/drain terminal references per node.
-	channelRefs map[netlist.NodeID]int
-	// resistorsOn maps a node to attached resistors.
-	resistorsOn map[netlist.NodeID][]*netlist.Resistor
+	adj *netlist.Adjacency
 
 	// df is the lazily built dataflow substrate (phase model, drive
 	// paths, dynamic nodes, latch transparency) shared by FCV011+.
@@ -176,27 +169,25 @@ func (ctx *Context) Dataflow() *dataflow.Analysis {
 	return ctx.df
 }
 
-// newContext builds the shared indexes for one circuit.
-func newContext(c *netlist.Circuit, rec *recognize.Result, opt Options, sink *[]Diag) *Context {
-	ctx := &Context{
-		Circuit:     c,
-		Rec:         rec,
-		Opt:         opt,
-		gateReaders: make(map[netlist.NodeID][]*netlist.Device),
-		channelRefs: make(map[netlist.NodeID]int),
-		resistorsOn: make(map[netlist.NodeID][]*netlist.Resistor),
-		diags:       sink,
+// gateNets returns, in node order, the nodes that gate a device.
+func (ctx *Context) gateNets() []netlist.NodeID {
+	var ids []netlist.NodeID
+	for i := range ctx.Circuit.Nodes {
+		if id := netlist.NodeID(i); len(ctx.adj.Gated(id)) > 0 {
+			ids = append(ids, id)
+		}
 	}
-	for _, d := range c.Devices {
-		ctx.gateReaders[d.Gate] = append(ctx.gateReaders[d.Gate], d)
-		ctx.channelRefs[d.Source]++
-		ctx.channelRefs[d.Drain]++
-	}
-	for _, r := range c.Resistors {
-		ctx.resistorsOn[r.A] = append(ctx.resistorsOn[r.A], r)
-		ctx.resistorsOn[r.B] = append(ctx.resistorsOn[r.B], r)
-	}
-	return ctx
+	return ids
+}
+
+// reachesDrive reports whether id has a DC path to a rail or an
+// externally driven node through resistors and the channels of the
+// devices conducts accepts (every device when nil).
+func (ctx *Context) reachesDrive(id netlist.NodeID, conducts func(*netlist.Device) bool) bool {
+	c := ctx.Circuit
+	return ctx.adj.Reach([]netlist.NodeID{id}, conducts, true, func(u netlist.NodeID) bool {
+		return c.IsSupply(u) || ctx.externallyDriven(u)
+	})
 }
 
 // Report emits a finding. The rule fills Rule/Severity via the typed
@@ -210,13 +201,11 @@ func (ctx *Context) Report(d Diag) {
 // node: the first device reading it as a gate, else the first device
 // channel-connected to it, else the zero Loc.
 func (ctx *Context) nodeLoc(id netlist.NodeID) netlist.Loc {
-	if devs := ctx.gateReaders[id]; len(devs) > 0 {
+	if devs := ctx.adj.Gated(id); len(devs) > 0 {
 		return devs[0].Loc
 	}
-	for _, d := range ctx.Circuit.Devices {
-		if d.Source == id || d.Drain == id {
-			return d.Loc
-		}
+	if devs := ctx.adj.Channel(id); len(devs) > 0 {
+		return devs[0].Loc
 	}
 	return netlist.Loc{}
 }
@@ -313,7 +302,13 @@ func RunRecognized(rec *recognize.Result, opt Options) *Report {
 		rules = DefaultRules()
 	}
 	var diags []Diag
-	ctx := newContext(rec.Circuit, rec, opt, &diags)
+	ctx := &Context{
+		Circuit: rec.Circuit,
+		Rec:     rec,
+		Opt:     opt,
+		adj:     netlist.NewAdjacency(rec.Circuit),
+		diags:   &diags,
+	}
 	for _, rule := range rules {
 		rule.Check(ctx)
 	}

@@ -172,6 +172,8 @@ func TestDanglingTerminal(t *testing.T) {
 mn y a vss vss nmos w=2 l=0.75
 mp y a vdd vdd pmos w=4 l=0.75
 mdg stub a vss vss nmos w=2 l=0.75
+* Both channel terminals on one node are two terminal references.
+msh shorted a shorted vss nmos w=2 l=0.75
 .ends
 `
 	rep := lintDeck(t, deck, "c")

@@ -113,14 +113,14 @@ func checkFloatingGate(r *rule, ctx *Context) {
 	if len(c.Ports) == 0 {
 		return
 	}
-	for id := range ctx.gateReaders {
+	for _, id := range ctx.gateNets() {
 		if c.IsSupply(id) || c.Nodes[id].IsPort {
 			continue
 		}
-		if ctx.channelRefs[id] > 0 || len(ctx.resistorsOn[id]) > 0 {
+		if len(ctx.adj.Channel(id)) > 0 || len(ctx.adj.Resistors(id)) > 0 {
 			continue
 		}
-		readers := ctx.gateReaders[id]
+		readers := ctx.adj.Gated(id)
 		names := deviceNames(readers, 3)
 		r.emit(ctx, c.NodeName(id), readers[0].Loc,
 			"gate net %s is driven by nothing but gates %s", c.NodeName(id), names)
@@ -148,66 +148,16 @@ func deviceNames(devs []*netlist.Device, max int) string {
 // assignment can ever set their level; downstream logic reads noise.
 func checkNoDCPath(r *rule, ctx *Context) {
 	c := ctx.Circuit
-	for id := range ctx.gateReaders {
-		if c.IsSupply(id) || c.Nodes[id].IsPort || ctx.channelRefs[id] == 0 {
+	for _, id := range ctx.gateNets() {
+		if c.IsSupply(id) || c.Nodes[id].IsPort || len(ctx.adj.Channel(id)) == 0 {
 			continue
 		}
-		if ctx.channelReaches(id, func(u netlist.NodeID) bool {
-			return c.IsSupply(u) || ctx.externallyDriven(u)
-		}) {
+		if ctx.reachesDrive(id, nil) {
 			continue
 		}
 		r.emit(ctx, c.NodeName(id), ctx.nodeLoc(id),
 			"node %s drives gates but has no DC path to any rail or port", c.NodeName(id))
 	}
-}
-
-// channelReaches runs a BFS from id over device channels and resistors
-// and reports whether any reached node satisfies ok. Rails terminate the
-// search (they satisfy ok or never will).
-func (ctx *Context) channelReaches(id netlist.NodeID, ok func(netlist.NodeID) bool) bool {
-	c := ctx.Circuit
-	seen := map[netlist.NodeID]bool{id: true}
-	queue := []netlist.NodeID{id}
-	if ok(id) {
-		return true
-	}
-	visit := func(u netlist.NodeID, queueRef *[]netlist.NodeID) bool {
-		if seen[u] {
-			return false
-		}
-		seen[u] = true
-		if ok(u) {
-			return true
-		}
-		if !c.IsSupply(u) {
-			*queueRef = append(*queueRef, u)
-		}
-		return false
-	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, d := range c.DevicesOn(u) {
-			other := d.Source
-			if other == u {
-				other = d.Drain
-			}
-			if visit(other, &queue) {
-				return true
-			}
-		}
-		for _, res := range ctx.resistorsOn[u] {
-			other := res.A
-			if other == u {
-				other = res.B
-			}
-			if visit(other, &queue) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // ---------------------------------------------------------------- FCV003
@@ -295,7 +245,10 @@ func checkDangling(r *rule, ctx *Context) {
 		if c.IsSupply(nid) || n.IsPort || n.CapFF > 0 {
 			continue
 		}
-		if ctx.channelRefs[nid] != 1 || len(ctx.gateReaders[nid]) > 0 || len(ctx.resistorsOn[nid]) > 0 {
+		// Exactly one terminal: one device, not shorted across itself.
+		ch := ctx.adj.Channel(nid)
+		if len(ch) != 1 || ch[0].Source == ch[0].Drain ||
+			len(ctx.adj.Gated(nid)) > 0 || len(ctx.adj.Resistors(nid)) > 0 {
 			continue
 		}
 		r.emit(ctx, n.Name, ctx.nodeLoc(nid),
@@ -359,7 +312,7 @@ func dynamicKeeper(ctx *Context, g *recognize.Group, node netlist.NodeID) *netli
 // current. Full transmission gates (both polarities) pass.
 func checkPassOnlyGate(r *rule, ctx *Context) {
 	c := ctx.Circuit
-	for id := range ctx.gateReaders {
+	for _, id := range ctx.gateNets() {
 		gi, ok := ctx.Rec.DriverOf[id]
 		if !ok {
 			continue
@@ -443,8 +396,8 @@ func checkShadowedNames(r *rule, ctx *Context) {
 		byFold[fold] = id
 	}
 	for _, p := range c.Ports {
-		if ctx.channelRefs[p] == 0 && len(ctx.gateReaders[p]) == 0 &&
-			len(ctx.resistorsOn[p]) == 0 && c.Nodes[p].CapFF == 0 {
+		if len(ctx.adj.Channel(p)) == 0 && len(ctx.adj.Gated(p)) == 0 &&
+			len(ctx.adj.Resistors(p)) == 0 && c.Nodes[p].CapFF == 0 {
 			r.emit(ctx, c.NodeName(p), c.Loc,
 				"port %s is declared but connected to nothing", c.NodeName(p))
 		}
@@ -459,7 +412,8 @@ func checkShadowedNames(r *rule, ctx *Context) {
 func checkFanout(r *rule, ctx *Context) {
 	c := ctx.Circuit
 	limit := ctx.Opt.fanoutLimit()
-	for id, readers := range ctx.gateReaders {
+	for _, id := range ctx.gateNets() {
+		readers := ctx.adj.Gated(id)
 		if c.IsSupply(id) || len(readers) <= limit {
 			continue
 		}

@@ -11,7 +11,6 @@ package lint
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dataflow"
 	"repro/internal/logic"
@@ -189,7 +188,7 @@ func checkChargeSharing(r *rule, ctx *Context) {
 		for _, n := range dn.Internal {
 			intCap += c.Nodes[n].CapFF
 		}
-		if outCap > 0 && intCap > 0 && intCap/outCap < ctx.Opt.chargeShareRatio() {
+		if outCap > 0 && intCap > 0 && intCap/outCap < chargeShareRatio {
 			continue
 		}
 		names := make([]string, len(dn.Internal))
@@ -238,13 +237,12 @@ func checkRatioedStrength(r *rule, ctx *Context) {
 			if maxLoad == 0 || minDrive == 0 {
 				continue
 			}
-			need := ctx.Opt.ratioedMinStrength()
-			if minDrive >= need*maxLoad {
+			if minDrive >= ratioedMinStrength*maxLoad {
 				continue
 			}
 			r.emit(ctx, c.NodeName(f.Node), ctx.nodeLoc(f.Node),
 				"ratioed node %s: weakest switched path strength %.3g does not overpower the always-on load %.3g by the required ×%.3g margin",
-				c.NodeName(f.Node), minDrive, maxLoad, need)
+				c.NodeName(f.Node), minDrive, maxLoad, ratioedMinStrength)
 		}
 	}
 }
@@ -301,8 +299,7 @@ func checkPhaseFloat(r *rule, ctx *Context) {
 	if len(c.Ports) == 0 {
 		return // element soup: every net could be externally driven
 	}
-	ids := sortedNodeKeys(ctx.gateReaders)
-	for _, id := range ids {
+	for _, id := range ctx.gateNets() {
 		if c.IsSupply(id) || c.Nodes[id].IsPort {
 			continue
 		}
@@ -347,82 +344,18 @@ func checkPhaseFloat(r *rule, ctx *Context) {
 // actually be driven.
 func checkDeadDrivers(r *rule, ctx *Context) {
 	c := ctx.Circuit
-	ids := sortedNodeKeys(ctx.gateReaders)
-	for _, id := range ids {
-		if c.IsSupply(id) || c.Nodes[id].IsPort || ctx.channelRefs[id] == 0 {
+	conducts := func(d *netlist.Device) bool { return dataflow.CanConduct(c, d) }
+	for _, id := range ctx.gateNets() {
+		if c.IsSupply(id) || c.Nodes[id].IsPort || len(ctx.adj.Channel(id)) == 0 {
 			continue
 		}
-		ok := func(u netlist.NodeID) bool {
-			return c.IsSupply(u) || ctx.externallyDriven(u)
-		}
-		if !ctx.channelReaches(id, ok) {
+		if !ctx.reachesDrive(id, nil) {
 			continue // FCV002 already reported the missing path
 		}
-		if ctx.channelReachesConducting(id, ok) {
+		if ctx.reachesDrive(id, conducts) {
 			continue
 		}
 		r.emit(ctx, c.NodeName(id), ctx.nodeLoc(id),
 			"every DC path from gate net %s to a rail or port runs through a permanently-off device", c.NodeName(id))
 	}
-}
-
-// channelReachesConducting is channelReaches restricted to devices that
-// can ever conduct (resistors always conduct).
-func (ctx *Context) channelReachesConducting(id netlist.NodeID, ok func(netlist.NodeID) bool) bool {
-	c := ctx.Circuit
-	seen := map[netlist.NodeID]bool{id: true}
-	queue := []netlist.NodeID{id}
-	if ok(id) {
-		return true
-	}
-	visit := func(u netlist.NodeID, queueRef *[]netlist.NodeID) bool {
-		if seen[u] {
-			return false
-		}
-		seen[u] = true
-		if ok(u) {
-			return true
-		}
-		if !c.IsSupply(u) {
-			*queueRef = append(*queueRef, u)
-		}
-		return false
-	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, d := range c.DevicesOn(u) {
-			if !dataflow.CanConduct(c, d) {
-				continue
-			}
-			other := d.Source
-			if other == u {
-				other = d.Drain
-			}
-			if visit(other, &queue) {
-				return true
-			}
-		}
-		for _, res := range ctx.resistorsOn[u] {
-			other := res.A
-			if other == u {
-				other = res.B
-			}
-			if visit(other, &queue) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// sortedNodeKeys returns map keys in node order, the deterministic
-// iteration base every rule over gateReaders shares.
-func sortedNodeKeys(m map[netlist.NodeID][]*netlist.Device) []netlist.NodeID {
-	ids := make([]netlist.NodeID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }

@@ -91,12 +91,6 @@ func (b *BDD) Var(name string) Ref {
 	return b.mk(idx, RefFalse, RefTrue)
 }
 
-// VarName returns the name of the variable at order position i.
-func (b *BDD) VarName(i int) string { return b.vars[i] }
-
-// NumVars returns the number of registered variables.
-func (b *BDD) NumVars() int { return len(b.vars) }
-
 // Size returns the number of decision nodes allocated (excluding
 // terminals) — the usual BDD cost metric.
 func (b *BDD) Size() int { return len(b.nodes) - 2 }

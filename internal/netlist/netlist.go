@@ -316,29 +316,6 @@ func (c *Circuit) AddInstance(name, cell string, conns ...string) *Instance {
 	return inst
 }
 
-// DevicesOn returns the devices with a source or drain terminal on the
-// node (channel-connected neighbours).
-func (c *Circuit) DevicesOn(id NodeID) []*Device {
-	var out []*Device
-	for _, d := range c.Devices {
-		if d.Source == id || d.Drain == id {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// GatesOn returns devices whose gate is connected to the node.
-func (c *Circuit) GatesOn(id NodeID) []*Device {
-	var out []*Device
-	for _, d := range c.Devices {
-		if d.Gate == id {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // TotalWidth returns the summed channel width of all devices, a standard
 // area/power proxy.
 func (c *Circuit) TotalWidth() float64 {

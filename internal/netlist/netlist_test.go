@@ -73,14 +73,15 @@ func TestDeviceQueries(t *testing.T) {
 	c := inv(t)
 	y := c.FindNode("y")
 	a := c.FindNode("a")
-	if got := len(c.DevicesOn(y)); got != 2 {
-		t.Errorf("DevicesOn(y) = %d devices, want 2", got)
+	adj := NewAdjacency(c)
+	if got := len(adj.Channel(y)); got != 2 {
+		t.Errorf("Channel(y) = %d devices, want 2", got)
 	}
-	if got := len(c.GatesOn(a)); got != 2 {
-		t.Errorf("GatesOn(a) = %d devices, want 2", got)
+	if got := len(adj.Gated(a)); got != 2 {
+		t.Errorf("Gated(a) = %d devices, want 2", got)
 	}
-	if got := len(c.DevicesOn(a)); got != 0 {
-		t.Errorf("DevicesOn(a) = %d devices, want 0", got)
+	if got := len(adj.Channel(a)); got != 0 {
+		t.Errorf("Channel(a) = %d devices, want 0", got)
 	}
 	if w := c.TotalWidth(); w != 6 {
 		t.Errorf("TotalWidth = %g, want 6", w)
@@ -189,11 +190,12 @@ func TestFlattenPortConnectivity(t *testing.T) {
 		t.Fatal("n1 missing")
 	}
 	// n1 must have both u1's drains (2 devices) and u2's gates (2).
-	if got := len(flat.DevicesOn(n1)); got != 2 {
-		t.Errorf("DevicesOn(n1) = %d, want 2", got)
+	adj := NewAdjacency(flat)
+	if got := len(adj.Channel(n1)); got != 2 {
+		t.Errorf("Channel(n1) = %d, want 2", got)
 	}
-	if got := len(flat.GatesOn(n1)); got != 2 {
-		t.Errorf("GatesOn(n1) = %d, want 2", got)
+	if got := len(adj.Gated(n1)); got != 2 {
+		t.Errorf("Gated(n1) = %d, want 2", got)
 	}
 }
 

@@ -16,9 +16,10 @@ package netlist
 import "fmt"
 
 // Signatures is the per-object canonical label table of one circuit.
-// Compute once per circuit (the CBV pipeline computes it once per
-// core.Verify and threads it through the stages) and treat as
-// read-only; it is safe for concurrent readers.
+// It is read-only once computed and safe for concurrent readers. Each
+// stage that names findings computes its own table: the checks
+// battery, timing, the lint rules and the hier boundary pass each run
+// the refinement again on the circuit they were given.
 type Signatures struct {
 	c    *Circuit
 	node []uint64
@@ -40,14 +41,6 @@ func ComputeSignatures(c *Circuit) *Signatures {
 		s.devIndex[d.Name] = i
 	}
 	return s
-}
-
-// NodeSig returns the canonical label of a node (false if out of range).
-func (s *Signatures) NodeSig(id NodeID) (uint64, bool) {
-	if id < 0 || int(id) >= len(s.node) {
-		return 0, false
-	}
-	return s.node[id], true
 }
 
 // SubjectSig resolves a finding subject to a canonical label: a node

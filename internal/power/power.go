@@ -97,12 +97,6 @@ func (c *ChipSpec) TotalW(corner process.Corner) float64 {
 	return c.DynamicW() + c.LeakageMW(corner)*1e-3
 }
 
-// PerfPerWatt returns relative performance per watt at the typical
-// corner.
-func (c *ChipSpec) PerfPerWatt() float64 {
-	return c.PerfRel / c.TotalW(process.Typical)
-}
-
 // WithExtraL returns a copy with the named regions' channel lengthening
 // set to extraL µm (the §3 sweep knob). Unknown names are ignored.
 func (c *ChipSpec) WithExtraL(regionNames []string, extraL float64) *ChipSpec {

@@ -11,8 +11,9 @@ import (
 
 // buildGroups partitions devices into channel-connected components using
 // union-find over source/drain terminals, cutting at the supply rails
-// (a rail connects everything; it is a boundary, not a bridge).
-func (r *Result) buildGroups() {
+// (a rail connects everything; it is a boundary, not a bridge). adj is
+// the circuit's adjacency index.
+func (r *Result) buildGroups(adj *netlist.Adjacency) {
 	c := r.Circuit
 	nd := len(c.Devices)
 	parent := make([]int, nd)
@@ -75,35 +76,6 @@ func (r *Result) buildGroups() {
 		r.Groups[gi].Devices = append(r.Groups[gi].Devices, d)
 	}
 
-	// Gate-consumer index: which nodes are read as a gate anywhere.
-	// (Group identity is irrelevant: a channel node read as a gate only
-	// by its own group is feedback, still an output.)
-	gateRead := make([]bool, len(c.Nodes))
-	for _, d := range c.Devices {
-		gateRead[d.Gate] = true
-	}
-
-	// Channel-terminal incidence (node → devices touching it via
-	// source/drain) in compressed sparse row form, shared by every
-	// looksLikeInputPort query below instead of a per-query scan.
-	chOff := make([]int32, len(c.Nodes)+1)
-	for _, d := range c.Devices {
-		chOff[d.Source+1]++
-		chOff[d.Drain+1]++
-	}
-	for i := 1; i <= len(c.Nodes); i++ {
-		chOff[i] += chOff[i-1]
-	}
-	chDev := make([]int32, 2*nd)
-	chCur := make([]int32, len(c.Nodes))
-	copy(chCur, chOff)
-	for i, d := range c.Devices {
-		chDev[chCur[d.Source]] = int32(i)
-		chCur[d.Source]++
-		chDev[chCur[d.Drain]] = int32(i)
-		chCur[d.Drain]++
-	}
-
 	// Classify each group's channel nodes as internal or output, and
 	// collect gate inputs. Group-stamped marker arrays replace the
 	// per-group node sets; the node lists are deduped in device order
@@ -131,9 +103,12 @@ func (r *Result) buildGroups() {
 				gateList = append(gateList, d.Gate)
 			}
 		}
+		// A node read as a gate anywhere is an output. (Group identity
+		// is irrelevant: a channel node read as a gate only by its own
+		// group is feedback, still an output.)
 		for _, id := range chanList {
 			n := c.Nodes[id]
-			if n.IsPort || gateRead[id] {
+			if n.IsPort || len(adj.Gated(id)) > 0 {
 				g.Outputs = append(g.Outputs, id)
 				r.DriverOf[id] = gi
 			} else {
@@ -161,7 +136,7 @@ func (r *Result) buildGroups() {
 	for _, g := range r.Groups {
 		for _, id := range g.Outputs {
 			n := c.Nodes[id]
-			if n.IsPort && looksLikeInputPort(c, id, chOff, chDev) {
+			if n.IsPort && looksLikeInputPort(c, adj, id) {
 				g.ChannelInputs = append(g.ChannelInputs, id)
 			}
 		}
@@ -175,11 +150,9 @@ func (r *Result) buildGroups() {
 // if no device in the circuit has it as the sole non-rail channel node
 // of a complementary (vdd+vss) structure. We approximate: a port is an
 // input if every device touching it via channel also has its other
-// channel terminal on a non-rail node. chOff/chDev is the circuit's
-// channel-terminal incidence in CSR form (built once in buildGroups).
-func looksLikeInputPort(c *netlist.Circuit, id netlist.NodeID, chOff, chDev []int32) bool {
-	for _, di := range chDev[chOff[id]:chOff[id+1]] {
-		d := c.Devices[di]
+// channel terminal on a non-rail node.
+func looksLikeInputPort(c *netlist.Circuit, adj *netlist.Adjacency, id netlist.NodeID) bool {
+	for _, d := range adj.Channel(id) {
 		other := d.Source
 		if other == id {
 			other = d.Drain

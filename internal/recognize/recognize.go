@@ -244,7 +244,7 @@ func Analyze(c *netlist.Circuit) (*Result, error) {
 		Circuit:  c,
 		DriverOf: make(map[netlist.NodeID]int),
 	}
-	r.buildGroups()
+	r.buildGroups(netlist.NewAdjacency(c))
 	clocks := r.identifyClocks()
 	// One BDD manager per group for this call only; see groupBDD.
 	bdds := make([]groupBDD, len(r.Groups))

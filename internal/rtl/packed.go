@@ -231,18 +231,6 @@ func (p *PackedSim) SetAll(name string, v uint64) error {
 	return nil
 }
 
-// SetLane drives one lane of a signal and re-settles.
-func (p *PackedSim) SetLane(name string, lane int, v uint64) error {
-	i := p.design.SignalIndex(name)
-	if i < 0 {
-		return fmt.Errorf("fcl: unknown signal %q", name)
-	}
-	w := p.design.Signals[i].Width
-	scatterLane(p.vals[p.off[i]:p.off[i]+w], lane, v&widthMask(w))
-	p.settle()
-	return nil
-}
-
 // GetPlanes copies a signal's planes into dst (sized to the signal
 // width) and returns it; dst may be nil.
 func (p *PackedSim) GetPlanes(name string, dst []uint64) []uint64 {
@@ -881,15 +869,14 @@ func borrowOut(a, b []uint64, w int) uint64 {
 }
 
 // PackedStimulus drives 64 independent pseudo-random input sequences
-// into a packed simulation — the bit-parallel twin of Stimulus. The
+// into a packed simulation — §4.1: "Simulation requires stimulus
+// patterns, which are either manually generated or pseudo-random
+// sequences." Every bit is a fair coin, one raw RNG word per plane. The
 // obs.RNG stream is pinned, so (seed, cycle, lane) replays forever.
 type PackedStimulus struct {
 	sim    *PackedSim
 	rng    *obs.RNG
 	inputs []packedStimInput
-	// Bias is the probability of a 1 in each generated bit (default
-	// 0.5, which generates one raw RNG word per plane).
-	Bias float64
 }
 
 type packedStimInput struct {
@@ -899,7 +886,7 @@ type packedStimInput struct {
 
 // NewPackedStimulus prepares a generator over the named inputs.
 func NewPackedStimulus(sim *PackedSim, seed int64, inputs ...string) (*PackedStimulus, error) {
-	st := &PackedStimulus{sim: sim, rng: obs.NewRNG(seed), Bias: 0.5}
+	st := &PackedStimulus{sim: sim, rng: obs.NewRNG(seed)}
 	for _, in := range inputs {
 		i := sim.design.SignalIndex(in)
 		if i < 0 {
@@ -917,24 +904,10 @@ func (s *PackedStimulus) Vector() {
 		i := s.sim.design.SignalIndex(in.name)
 		planes := s.sim.vals[s.sim.off[i] : s.sim.off[i]+in.width]
 		for b := range planes {
-			planes[b] = s.planeWord()
+			planes[b] = s.rng.Uint64()
 		}
 	}
 	s.sim.settle()
-}
-
-// planeWord draws 64 bits at the configured bias.
-func (s *PackedStimulus) planeWord() uint64 {
-	if s.Bias == 0.5 {
-		return s.rng.Uint64()
-	}
-	var w uint64
-	for l := 0; l < Lanes; l++ {
-		if s.rng.Float64() < s.Bias {
-			w |= 1 << uint(l)
-		}
-	}
-	return w
 }
 
 // Step drives one random 64-lane vector and advances one cycle.

@@ -1,7 +1,6 @@
 package rtl
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -517,90 +516,5 @@ endmodule
 	}
 	if !strings.Contains(a.String(), "clock gating") {
 		t.Error("activity string mismatch")
-	}
-}
-
-func TestStimulusReproducible(t *testing.T) {
-	src := `
-module top(a[8], b[8] -> s[8])
-reg acc[8] @phi1
-on phi1: acc <= a + b
-assign s = acc
-endmodule
-`
-	run := func(seed int64) []uint64 {
-		s := mustSim(t, src)
-		stim, err := NewStimulus(s, seed, "a", "b")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var trace []uint64
-		for i := 0; i < 16; i++ {
-			stim.Step()
-			trace = append(trace, s.Get("s"))
-		}
-		return trace
-	}
-	a, b := run(7), run(7)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at cycle %d", i)
-		}
-	}
-	c := run(8)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Error("different seeds produced identical traces")
-	}
-}
-
-func TestStimulusRunCheckAndErrors(t *testing.T) {
-	s := mustSim(t, "module top(a[4] -> y[4])\nassign y = a\nendmodule")
-	if _, err := NewStimulus(s, 1, "nosuch"); err == nil {
-		t.Error("unknown input accepted")
-	}
-	stim, err := NewStimulus(s, 1, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The invariant y == a must hold every cycle.
-	if err := stim.Run(50, func(sim *Sim) error {
-		if sim.Get("y") != sim.Get("a") {
-			return fmt.Errorf("y != a")
-		}
-		return nil
-	}); err != nil {
-		t.Error(err)
-	}
-	// A failing check stops with cycle context.
-	err = stim.Run(10, func(sim *Sim) error { return fmt.Errorf("boom") })
-	if err == nil || !strings.Contains(err.Error(), "cycle 0") {
-		t.Errorf("check failure lost context: %v", err)
-	}
-}
-
-func TestStimulusBias(t *testing.T) {
-	s := mustSim(t, "module top(a[16] -> y[16])\nassign y = a\nendmodule")
-	stim, err := NewStimulus(s, 3, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stim.Bias = 0.9
-	ones := 0
-	for i := 0; i < 50; i++ {
-		v := stim.Step()["a"]
-		for b := 0; b < 16; b++ {
-			if v>>uint(b)&1 == 1 {
-				ones++
-			}
-		}
-	}
-	if frac := float64(ones) / (50 * 16); frac < 0.8 {
-		t.Errorf("bias 0.9 produced only %.2f ones", frac)
 	}
 }

@@ -192,28 +192,6 @@ func (p *PackedSim) SetQuietAll(name string, v Value) {
 	}
 }
 
-// SetQuietLane forces one lane of a node, leaving the others intact.
-func (p *PackedSim) SetQuietLane(name string, lane int, v Value) {
-	id := p.c.FindNode(name)
-	if id == netlist.InvalidNode {
-		return
-	}
-	bit := uint64(1) << uint(lane)
-	hi, lo := p.hi[id]&^bit, p.lo[id]&^bit
-	switch v {
-	case Hi:
-		hi |= bit
-	case Lo:
-		lo |= bit
-	default:
-		hi |= bit
-		lo |= bit
-	}
-	p.hi[id], p.lo[id] = hi, lo
-	p.driven[id] = true
-	p.markNode(id)
-}
-
 // Release removes the external drive from a node (it becomes a
 // charged, possibly floating node in every lane) and relaxes.
 func (p *PackedSim) Release(name string) int {
@@ -264,10 +242,6 @@ func (p *PackedSim) Steps() int { return p.steps }
 // CompEvals returns the cumulative component evaluations; each one
 // covered all 64 lanes.
 func (p *PackedSim) CompEvals() int { return p.compEvals }
-
-// LaneEvals returns component evaluations multiplied by the lane
-// width — the scalar-equivalent work one packed run covered.
-func (p *PackedSim) LaneEvals() int { return p.compEvals * Lanes }
 
 // SetObserver attaches a telemetry collector: every Settle adds
 // switchsim.packed_settles and switchsim.lane_evals counters and keeps

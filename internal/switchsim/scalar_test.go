@@ -25,6 +25,10 @@ import (
 // tests).
 type Scalar struct {
 	*topology
+	// adj indexes devices by channel terminal for traversal. Every
+	// device on a non-supply node belongs to that node's component, so
+	// component-local walks can use it unfiltered.
+	adj *netlist.Adjacency
 	// value is the current level of every node.
 	value []Value
 	// driven marks externally forced nodes (inputs, rails).
@@ -65,6 +69,7 @@ func NewScalar(c *netlist.Circuit) (*Scalar, error) {
 	}
 	s := &Scalar{
 		topology: t,
+		adj:      netlist.NewAdjacency(c),
 		value:    make([]Value, len(c.Nodes)),
 		driven:   make([]bool, len(c.Nodes)),
 	}
@@ -396,7 +401,7 @@ func (s *Scalar) evalComp(ci int) {
 			v := s.value[start]
 			for i := 0; i < len(island); i++ {
 				at := island[i]
-				for _, d := range s.devsByNode[at] {
+				for _, d := range s.adj.Channel(at) {
 					other := d.Source
 					if other == at {
 						other = d.Drain
@@ -489,7 +494,7 @@ func (s *Scalar) compReach(out []bool, devs []*netlist.Device, rail netlist.Node
 	for len(q) > 0 {
 		at := q[len(q)-1]
 		q = q[:len(q)-1]
-		for _, d := range s.devsByNode[at] {
+		for _, d := range s.adj.Channel(at) {
 			cd := s.conducts(d)
 			if cd == off || (cd == maybe && !includeMaybe) {
 				continue

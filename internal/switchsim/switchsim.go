@@ -58,17 +58,13 @@ func Bool(b bool) Value {
 
 // topology is the static structure of one flat circuit shared by every
 // simulator instance over it: the channel-connected component (CCC)
-// partition, per-node device indexes and gate fanout. It is built once
+// partition, per-component devices and gate fanout. It is built once
 // and read-only afterwards, so every PackedSim over a circuit (and the
 // scalar test oracle) embeds the same structure without re-deriving it.
 type topology struct {
 	c *netlist.Circuit
 	// vdd/vss node ids (may be InvalidNode if absent).
 	vdd, vss netlist.NodeID
-	// devsByNode indexes devices by channel terminal for traversal.
-	// Every device on a non-supply node belongs to that node's
-	// component, so component-local walks can use it unfiltered.
-	devsByNode [][]*netlist.Device
 	// comp maps each node to its channel-connected component (-1 for
 	// supply rails, which belong to every component's boundary and
 	// none's interior).
@@ -87,16 +83,9 @@ func newTopology(c *netlist.Circuit) (*topology, error) {
 		return nil, fmt.Errorf("switchsim: circuit %s has unflattened instances", c.Name)
 	}
 	t := &topology{
-		c:          c,
-		vdd:        c.FindNode(netlist.VddName),
-		vss:        c.FindNode(netlist.VssName),
-		devsByNode: make([][]*netlist.Device, len(c.Nodes)),
-	}
-	for _, d := range c.Devices {
-		t.devsByNode[d.Source] = append(t.devsByNode[d.Source], d)
-		if d.Drain != d.Source {
-			t.devsByNode[d.Drain] = append(t.devsByNode[d.Drain], d)
-		}
+		c:   c,
+		vdd: c.FindNode(netlist.VddName),
+		vss: c.FindNode(netlist.VssName),
 	}
 	t.buildComponents()
 	return t, nil

@@ -62,7 +62,7 @@ func (a *analyzer) constraintFor(id netlist.NodeID) (setupPS, holdPS float64) {
 	}
 	// Pass devices may sit outside the loop groups (a tgate feeding the
 	// keeper): look at devices channel-connected to the state node.
-	for _, d := range a.c.DevicesOn(id) {
+	for _, d := range a.adj.Channel(id) {
 		if !a.rec.IsClock(d.Gate) {
 			continue
 		}

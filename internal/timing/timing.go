@@ -135,8 +135,13 @@ func Analyze(rec *recognize.Result, opt Options) (*Report, error) {
 	if opt.ClockSkewPS < 0 {
 		return nil, fmt.Errorf("timing: negative clock skew %g", opt.ClockSkewPS)
 	}
-	a := &analyzer{rec: rec, c: rec.Circuit, opt: opt}
-	a.buildLoads()
+	a := &analyzer{
+		rec:    rec,
+		c:      rec.Circuit,
+		opt:    opt,
+		adj:    netlist.NewAdjacency(rec.Circuit),
+		loadFF: netlist.NodeLoads(rec.Circuit, opt.Proc),
+	}
 	a.buildArcs()
 	a.buildFanout()
 	rep := &Report{Circuit: a.c, Arcs: a.arcs, Arrival: make(map[netlist.NodeID]Bounds)}
@@ -183,6 +188,7 @@ type analyzer struct {
 	rec *recognize.Result
 	c   *netlist.Circuit
 	opt Options
+	adj *netlist.Adjacency
 
 	loadFF []float64 // per node: nominal load capacitance
 	arcs   []Arc
@@ -204,22 +210,6 @@ type analyzer struct {
 	predMin    []netlist.NodeID
 	capPredMax []netlist.NodeID
 	capPredMin []netlist.NodeID
-}
-
-// buildLoads computes nominal load capacitance of every node: explicit
-// node cap + gate caps of devices it drives + diffusion caps of devices
-// whose channels touch it.
-func (a *analyzer) buildLoads() {
-	p := a.opt.Proc
-	a.loadFF = make([]float64, len(a.c.Nodes))
-	for i, n := range a.c.Nodes {
-		a.loadFF[i] = n.CapFF
-	}
-	for _, d := range a.c.Devices {
-		a.loadFF[d.Gate] += p.CgateFF(d.W, d.Leff())
-		a.loadFF[d.Source] += p.CdiffFF(d.W)
-		a.loadFF[d.Drain] += p.CdiffFF(d.W)
-	}
 }
 
 // buildArcs derives timing arcs from each recognized group (gate input →
