@@ -269,7 +269,7 @@ func run(cmd string, args []string) error {
 		if err != nil {
 			return err
 		}
-		rep, err := checks.RunAll(rec, checks.Options{Proc: proc, PeriodPS: period})
+		rep, err := checks.RunAll(rec, netlist.ComputeSignatures(flat), checks.Options{Proc: proc, PeriodPS: period})
 		if err != nil {
 			return err
 		}
@@ -284,7 +284,7 @@ func run(cmd string, args []string) error {
 		if err != nil {
 			return err
 		}
-		rep, err := timing.Analyze(rec, timing.Options{Proc: proc, Clock: timing.TwoPhase(period)})
+		rep, err := timing.Analyze(rec, netlist.ComputeSignatures(flat), timing.Options{Proc: proc, Clock: timing.TwoPhase(period)})
 		if err != nil {
 			return err
 		}

@@ -248,8 +248,9 @@ func CheckNames() []string {
 	return out
 }
 
-// RunAll executes the full battery.
-func RunAll(rec *recognize.Result, opt Options) (*Report, error) {
+// RunAll executes the full battery. sigs is the signature table of
+// rec.Circuit; it names the findings (see attachProvenance).
+func RunAll(rec *recognize.Result, sigs *netlist.Signatures, opt Options) (*Report, error) {
 	sh, err := prepare(rec, &opt)
 	if err != nil {
 		return nil, err
@@ -267,12 +268,12 @@ func RunAll(rec *recognize.Result, opt Options) (*Report, error) {
 			m[f.Verdict]++
 		}
 	}
-	attachProvenance(rep.Findings, rec, sh.adj)
+	attachProvenance(rep.Findings, rec, sigs, sh.adj)
 	return rep, nil
 }
 
-// Run executes a single named check.
-func Run(name string, rec *recognize.Result, opt Options) ([]Finding, error) {
+// Run executes a single named check; sigs is as for RunAll.
+func Run(name string, rec *recognize.Result, sigs *netlist.Signatures, opt Options) ([]Finding, error) {
 	sh, err := prepare(rec, &opt)
 	if err != nil {
 		return nil, err
@@ -280,7 +281,7 @@ func Run(name string, rec *recognize.Result, opt Options) ([]Finding, error) {
 	for _, b := range battery {
 		if b.name == name {
 			fs := b.fn(rec, &opt, sh)
-			attachProvenance(fs, rec, sh.adj)
+			attachProvenance(fs, rec, sigs, sh.adj)
 			return fs, nil
 		}
 	}

@@ -1,9 +1,11 @@
 package checks
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/designs"
 	"repro/internal/netlist"
 	"repro/internal/process"
 	"repro/internal/recognize"
@@ -17,6 +19,16 @@ func rec(t *testing.T, c *netlist.Circuit) *recognize.Result {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// runAll and run call RunAll and Run with the recognized circuit's own
+// signature table, as core.Verify does.
+func runAll(r *recognize.Result, opt Options) (*Report, error) {
+	return RunAll(r, netlist.ComputeSignatures(r.Circuit), opt)
+}
+
+func run(name string, r *recognize.Result, opt Options) ([]Finding, error) {
+	return Run(name, r, netlist.ComputeSignatures(r.Circuit), opt)
 }
 
 func opts() Options {
@@ -51,7 +63,7 @@ func domino(keeper bool, internalCapFF float64) *netlist.Circuit {
 
 func TestRunAllProducesAllChecks(t *testing.T) {
 	c := domino(false, 0)
-	rep, err := RunAll(rec(t, c), opts())
+	rep, err := runAll(rec(t, c), opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,17 +91,17 @@ func TestRunAllProducesAllChecks(t *testing.T) {
 
 func TestRunSingleAndUnknown(t *testing.T) {
 	c := domino(false, 0)
-	fs, err := Run("charge-share", rec(t, c), opts())
+	fs, err := run("charge-share", rec(t, c), opts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(fs) == 0 {
 		t.Error("charge-share produced nothing for a domino gate")
 	}
-	if _, err := Run("nope", rec(t, c), opts()); err == nil {
+	if _, err := run("nope", rec(t, c), opts()); err == nil {
 		t.Error("unknown check should fail")
 	}
-	if _, err := RunAll(rec(t, c), Options{}); err == nil {
+	if _, err := runAll(rec(t, c), Options{}); err == nil {
 		t.Error("missing process should fail")
 	}
 }
@@ -102,11 +114,11 @@ func TestBetaRatioBalancedVsSkewed(t *testing.T) {
 	bad.DeclarePort("y")
 	addInv(bad, "u", "a", "y", 20, 1) // grotesquely skewed
 
-	fsGood, err := Run("beta-ratio", rec(t, good), opts())
+	fsGood, err := run("beta-ratio", rec(t, good), opts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsBad, err := Run("beta-ratio", rec(t, bad), opts())
+	fsBad, err := run("beta-ratio", rec(t, bad), opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +142,11 @@ func TestBetaRatioRatioedStructure(t *testing.T) {
 		c.NMOS("mdrv", "a", "vss", "y", wn, 0.75)
 		return c
 	}
-	fsStrong, err := Run("beta-ratio", rec(t, build(16)), opts())
+	fsStrong, err := run("beta-ratio", rec(t, build(16)), opts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsWeak, err := Run("beta-ratio", rec(t, build(0.5)), opts())
+	fsWeak, err := run("beta-ratio", rec(t, build(0.5)), opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +164,7 @@ func TestEdgeRateFlagsOverloadedDriver(t *testing.T) {
 	c.DeclarePort("y")
 	addInv(c, "u", "a", "y", 2, 4)
 	c.AddCap("y", 2000)
-	fs, err := Run("edge-rate", rec(t, c), opts())
+	fs, err := run("edge-rate", rec(t, c), opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +176,7 @@ func TestEdgeRateFlagsOverloadedDriver(t *testing.T) {
 	c2.DeclarePort("y")
 	addInv(c2, "u", "a", "y", 4, 8)
 	c2.AddCap("y", 5)
-	fs2, err := Run("edge-rate", rec(t, c2), opts())
+	fs2, err := run("edge-rate", rec(t, c2), opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +186,11 @@ func TestEdgeRateFlagsOverloadedDriver(t *testing.T) {
 }
 
 func TestChargeShareVerdictScalesWithInternalCap(t *testing.T) {
-	small, err := Run("charge-share", rec(t, domino(false, 0)), opts())
+	small, err := run("charge-share", rec(t, domino(false, 0)), opts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Run("charge-share", rec(t, domino(false, 200)), opts())
+	big, err := run("charge-share", rec(t, domino(false, 200)), opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +206,7 @@ func TestChargeShareVerdictScalesWithInternalCap(t *testing.T) {
 }
 
 func TestDynamicLeakageKeeperPasses(t *testing.T) {
-	withKeeper, err := Run("dynamic-leakage", rec(t, domino(true, 0)), opts())
+	withKeeper, err := run("dynamic-leakage", rec(t, domino(true, 0)), opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +223,7 @@ func TestDynamicLeakageKeeperPasses(t *testing.T) {
 
 func TestDynamicLeakageLowVtWorse(t *testing.T) {
 	base := domino(false, 0)
-	fsBase, err := Run("dynamic-leakage", rec(t, base), Options{Proc: process.CMOS035LP(), PeriodPS: 6250})
+	fsBase, err := run("dynamic-leakage", rec(t, base), Options{Proc: process.CMOS035LP(), PeriodPS: 6250})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +231,7 @@ func TestDynamicLeakageLowVtWorse(t *testing.T) {
 	for _, d := range leaky.Devices {
 		d.Vt = process.LowVt
 	}
-	fsLeaky, err := Run("dynamic-leakage", rec(t, leaky), Options{Proc: process.CMOS035LP(), PeriodPS: 6250})
+	fsLeaky, err := run("dynamic-leakage", rec(t, leaky), Options{Proc: process.CMOS035LP(), PeriodPS: 6250})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +256,7 @@ func TestCouplingStaticVsDynamicThreshold(t *testing.T) {
 		{Victim: "dyn", Aggressor: "bus1", CapFF: 8},
 		{Victim: "static_victim", Aggressor: "bus1", CapFF: 8},
 	}
-	fs, err := Run("coupling", rec(t, c), o)
+	fs, err := run("coupling", rec(t, c), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +291,7 @@ func TestLatchCheckClockedAndKeeper(t *testing.T) {
 	addInv(c, "k1", "s1", "s2", 2, 4)
 	addInv(c, "k2", "s2", "s1", 2, 4)
 	c.DeclarePort("d")
-	fs, err := Run("latch", rec(t, c), opts())
+	fs, err := run("latch", rec(t, c), opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,11 +315,11 @@ func TestWritabilityWeakWriteFlagged(t *testing.T) {
 		addInv(c, "fb", "q", "m", 4, 8) // strong keeper
 		return c
 	}
-	fsWeak, err := Run("writability", rec(t, build(1)), opts())
+	fsWeak, err := run("writability", rec(t, build(1)), opts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsStrong, err := Run("writability", rec(t, build(20)), opts())
+	fsStrong, err := run("writability", rec(t, build(20)), opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +336,7 @@ func TestClockRCBudget(t *testing.T) {
 	// Load the clock heavily through a resistive spine.
 	c.AddResistor("rclk", "phi1", "clkload", 3000)
 	c.AddCap("phi1", 500)
-	fs, err := Run("clock-rc", rec(t, c), opts())
+	fs, err := run("clock-rc", rec(t, c), opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +361,7 @@ func TestElectromigrationWidthAttribute(t *testing.T) {
 	c.AddCap("y", 10000) // 10 pF bus at 200 MHz
 	o := opts()
 	o.ActivityFactor = 1 // a clock-like, always-switching net
-	fs, err := Run("electromigration", rec(t, c), o)
+	fs, err := run("electromigration", rec(t, c), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +370,7 @@ func TestElectromigrationWidthAttribute(t *testing.T) {
 	}
 	// Widening the wire fixes it.
 	c.SetAttr(c.FindNode("y"), "wire_width", "20")
-	fs2, err := Run("electromigration", rec(t, c), o)
+	fs2, err := run("electromigration", rec(t, c), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +386,7 @@ func TestAntennaFromOptionsAndAttr(t *testing.T) {
 	c.SetAttr(c.FindNode("a"), "antenna", "900")
 	o := opts()
 	o.AntennaRatios = map[string]float64{"y": 100}
-	fs, err := Run("antenna", rec(t, c), o)
+	fs, err := run("antenna", rec(t, c), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,12 +405,57 @@ func TestAntennaFromOptionsAndAttr(t *testing.T) {
 	}
 }
 
+// TestCouplingAntennaOrderDeterministic: extraction data reaches the
+// battery as a coupling list and an antenna-ratio map, and neither the
+// order of the findings they raise nor their "#n" ID suffixes may follow
+// map iteration order. The couplings are Figure 3's.
+func TestCouplingAntennaOrderDeterministic(t *testing.T) {
+	r := rec(t, designs.DominoAdder(8))
+	o := opts()
+	o.Couplings = []Coupling{
+		{Victim: "mc3_dyn", Aggressor: "bus_a", CapFF: 6},
+		{Victim: "mc5_dyn", Aggressor: "bus_b", CapFF: 3},
+		{Victim: "s4", Aggressor: "bus_a", CapFF: 6},
+	}
+	o.AntennaRatios = map[string]float64{"s6": 900, "c2": 300, "mc1_dyn": 450}
+	first, err := runAll(r, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 50; i++ {
+		rep, err := runAll(r, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rep.Findings, first.Findings) {
+			t.Fatalf("run %d: findings differ from run 0", i)
+		}
+	}
+	last := map[string]netlist.NodeID{"coupling": -1, "antenna": -1}
+	count := map[string]int{}
+	for _, f := range first.Findings {
+		prev, ok := last[f.Check]
+		if !ok {
+			continue
+		}
+		id := r.Circuit.FindNode(f.Subject)
+		if id <= prev {
+			t.Errorf("%s finding on %s (node %d) follows node %d: want node order", f.Check, f.Subject, id, prev)
+		}
+		last[f.Check] = id
+		count[f.Check]++
+	}
+	if count["coupling"] != 3 || count["antenna"] != 3 {
+		t.Errorf("want 3 coupling and 3 antenna findings, got %v", count)
+	}
+}
+
 func TestHotCarrierFlagsSubminimumLength(t *testing.T) {
 	c := netlist.New("hc")
 	c.DeclarePort("y")
 	c.NMOS("mshort", "a", "vss", "y", 4, 0.5) // below 0.75 Lmin
 	c.PMOS("mok", "a", "vdd", "y", 8, 0.75)
-	fs, err := Run("hot-carrier", rec(t, c), opts())
+	fs, err := run("hot-carrier", rec(t, c), opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +497,7 @@ func TestCleanDesignMostlyPasses(t *testing.T) {
 		prev = next
 	}
 	c.DeclarePort(prev)
-	rep, err := RunAll(rec(t, c), opts())
+	rep, err := runAll(rec(t, c), opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +518,7 @@ func TestSupplyDifferenceCheck(t *testing.T) {
 	c.SetAttr(c.FindNode("a"), "supply_domain", "io")
 	o := opts()
 	// Without IR-drop data the check is silent.
-	fs, err := Run("supply-difference", rec(t, c), o)
+	fs, err := run("supply-difference", rec(t, c), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +527,7 @@ func TestSupplyDifferenceCheck(t *testing.T) {
 	}
 	// A 150 mV sag in the driver's domain erodes the receiver's margin.
 	o.SupplyDropMV = map[string]float64{"io": 150, "": 0}
-	fs, err = Run("supply-difference", rec(t, c), o)
+	fs, err = run("supply-difference", rec(t, c), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +539,7 @@ func TestSupplyDifferenceCheck(t *testing.T) {
 	}
 	// A 700 mV sag (past Vt) violates.
 	o.SupplyDropMV = map[string]float64{"io": 700, "": 0}
-	fs, _ = Run("supply-difference", rec(t, c), o)
+	fs, _ = run("supply-difference", rec(t, c), o)
 	if len(fs) == 0 || fs[0].Verdict != Violation {
 		t.Errorf("700 mV sag should violate: %+v", fs)
 	}
@@ -492,7 +549,7 @@ func TestParticleCheck(t *testing.T) {
 	// A small dynamic node is SER-vulnerable; adding capacitance or a
 	// hardening credit fixes it.
 	c := domino(false, 0)
-	fs, err := Run("particle", rec(t, c), opts())
+	fs, err := run("particle", rec(t, c), opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +568,7 @@ func TestParticleCheck(t *testing.T) {
 	// More capacitance raises Qcrit.
 	c2 := domino(false, 0)
 	c2.AddCap("dyn", 100)
-	fs2, _ := Run("particle", rec(t, c2), opts())
+	fs2, _ := run("particle", rec(t, c2), opts())
 	for _, f := range fs2 {
 		if f.Subject == "dyn" && f.Verdict != Pass {
 			t.Errorf("100 fF node should pass SER: %+v", f)

@@ -2,6 +2,7 @@ package checks
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/netlist"
 	"repro/internal/process"
@@ -82,12 +83,15 @@ func checkCoupling(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 	for _, id := range rec.StateNodes {
 		dynOrState[id] = true
 	}
-	seen := make(map[netlist.NodeID]bool)
+	// Victims in node order: ranging over the map would make the
+	// finding order, and with it any "#n" ID suffix, vary by run.
+	victims := make([]netlist.NodeID, 0, len(byVictim))
 	for id := range byVictim {
-		if !seen[id] {
-			seen[id] = true
-			check(id, dynOrState[id])
-		}
+		victims = append(victims, id)
+	}
+	slices.Sort(victims)
+	for _, id := range victims {
+		check(id, dynOrState[id])
 	}
 	return out
 }

@@ -17,16 +17,15 @@ const evidenceBound = 8
 // reordering; findings on structurally symmetric subjects (which share
 // a signature by construction) are disambiguated with "#n" suffixes in
 // battery order, keeping the ID multiset itself rename-invariant.
-func attachProvenance(fs []Finding, rec *recognize.Result, adj *netlist.Adjacency) {
+func attachProvenance(fs []Finding, rec *recognize.Result, sigs *netlist.Signatures, adj *netlist.Adjacency) {
 	if len(fs) == 0 {
 		return
 	}
-	sigs := netlist.ComputeSignatures(rec.Circuit)
 	ids := make([]string, len(fs))
 	for i := range fs {
 		f := &fs[i]
 		ids[i] = sigs.FindingID("check", f.Check, sigSubject(rec.Circuit, f.Subject))
-		f.Evidence = buildEvidence(rec, adj, f)
+		f.Evidence = buildEvidence(rec, sigs, adj, f)
 	}
 	netlist.DisambiguateIDs(ids)
 	for i := range fs {
@@ -58,7 +57,7 @@ func sigSubject(c *netlist.Circuit, subject string) string {
 // nets around the subject plus the recognized topology context. Checks
 // report a normalized margin, so Measured is the margin against a 0
 // threshold.
-func buildEvidence(rec *recognize.Result, adj *netlist.Adjacency, f *Finding) Evidence {
+func buildEvidence(rec *recognize.Result, sigs *netlist.Signatures, adj *netlist.Adjacency, f *Finding) Evidence {
 	c := rec.Circuit
 	ev := Evidence{Measured: f.Margin, Threshold: 0, Unit: "margin"}
 	name := sigSubject(c, f.Subject)
@@ -86,23 +85,22 @@ func buildEvidence(rec *recognize.Result, adj *netlist.Adjacency, f *Finding) Ev
 		ev.Context = strings.Join(ctx, ", ")
 		return ev
 	}
-	for i, d := range c.Devices {
-		if d.Name != name {
-			continue
-		}
-		ev.Devices = append(ev.Devices, d.Name)
-		for _, t := range []netlist.NodeID{d.Gate, d.Source, d.Drain} {
-			if len(ev.Nets) >= evidenceBound {
-				break
-			}
-			ev.Nets = append(ev.Nets, c.NodeName(t))
-		}
-		if i < len(rec.GroupOfDevice) {
-			if gi := rec.GroupOfDevice[i]; gi >= 0 && gi < len(rec.Groups) {
-				ev.Context = rec.Groups[gi].Family.String() + " group device"
-			}
-		}
+	i, ok := sigs.DeviceIndex(name)
+	if !ok {
 		return ev
+	}
+	d := c.Devices[i]
+	ev.Devices = append(ev.Devices, d.Name)
+	for _, t := range []netlist.NodeID{d.Gate, d.Source, d.Drain} {
+		if len(ev.Nets) >= evidenceBound {
+			break
+		}
+		ev.Nets = append(ev.Nets, c.NodeName(t))
+	}
+	if i < len(rec.GroupOfDevice) {
+		if gi := rec.GroupOfDevice[i]; gi >= 0 && gi < len(rec.Groups) {
+			ev.Context = rec.Groups[gi].Family.String() + " group device"
+		}
 	}
 	return ev
 }

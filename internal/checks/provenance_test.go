@@ -30,7 +30,7 @@ func dominoRenamed() *netlist.Circuit {
 // findingIDs runs the battery and returns the sorted finding-ID list.
 func findingIDs(t *testing.T, c *netlist.Circuit) []string {
 	t.Helper()
-	rep, err := RunAll(rec(t, c), opts())
+	rep, err := runAll(rec(t, c), opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestFindingIDsGolden(t *testing.T) {
 // provenance: node findings carry their nets and attached devices,
 // device findings their terminals, and all carry the measured margin.
 func TestEvidenceAttached(t *testing.T) {
-	rep, err := RunAll(rec(t, domino(false, 0)), opts())
+	rep, err := runAll(rec(t, domino(false, 0)), opts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package checks
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strconv"
 
 	"repro/internal/process"
@@ -108,13 +109,25 @@ func checkAntenna(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 			Detail:  fmt.Sprintf("antenna ratio %.0f vs limit %.0f", ratio, p.AntennaMaxRatio),
 		})
 	}
-	seen := make(map[string]bool)
-	for name, ratio := range opt.AntennaRatios {
-		if c.FindNode(name) == netlistInvalid {
-			continue
+	// Extraction-supplied ratios first, in node order rather than the
+	// map's random one; names of one node (gnd and vss) in name order.
+	names := make([]string, 0, len(opt.AntennaRatios))
+	for name := range opt.AntennaRatios {
+		if c.FindNode(name) != netlistInvalid {
+			names = append(names, name)
 		}
+	}
+	sort.Slice(names, func(i, j int) bool {
+		a, b := c.FindNode(names[i]), c.FindNode(names[j])
+		if a != b {
+			return a < b
+		}
+		return names[i] < names[j]
+	})
+	seen := make(map[string]bool, len(names))
+	for _, name := range names {
 		seen[name] = true
-		emit(name, ratio)
+		emit(name, opt.AntennaRatios[name])
 	}
 	for _, n := range c.Nodes {
 		if seen[n.Name] {

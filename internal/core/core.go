@@ -145,8 +145,18 @@ type Report struct {
 	Lint *lint.Report
 }
 
-// Verify runs the full CBV pipeline on a flat circuit.
+// Verify runs the full CBV pipeline on a flat circuit. It computes the
+// circuit's signature table and runs VerifyWithSignatures.
 func Verify(c *netlist.Circuit, opt Options) (*Report, error) {
+	return VerifyWithSignatures(c, netlist.ComputeSignatures(c), opt)
+}
+
+// VerifyWithSignatures is Verify for a caller that already holds c's
+// signature table (netlist.ComputeSignatures), as the fleet does after
+// deriving its cache key from it. The lint gate, the checks battery and
+// timing all name their findings from that one table, so a verification
+// refines the circuit once. The report does not keep the table.
+func VerifyWithSignatures(c *netlist.Circuit, sigs *netlist.Signatures, opt Options) (*Report, error) {
 	if opt.Proc == nil {
 		return nil, fmt.Errorf("core: missing process model")
 	}
@@ -163,7 +173,7 @@ func Verify(c *netlist.Circuit, opt Options) (*Report, error) {
 	var lintRep *lint.Report
 	if opt.Lint {
 		opt.stage("lint", func() {
-			lintRep = lint.RunRecognized(rec, opt.LintOptions)
+			lintRep = lint.RunRecognized(rec, sigs, opt.LintOptions)
 		})
 		if lintRep.HasErrors() {
 			return nil, &LintGateError{Design: c.Name, Report: lintRep}
@@ -171,7 +181,7 @@ func Verify(c *netlist.Circuit, opt Options) (*Report, error) {
 	}
 	var chk *checks.Report
 	opt.stage("checks", func() {
-		chk, err = checks.RunAll(rec, checks.Options{
+		chk, err = checks.RunAll(rec, sigs, checks.Options{
 			Proc:          opt.Proc,
 			PeriodPS:      opt.Clock.PeriodPS,
 			Couplings:     opt.Couplings,
@@ -183,7 +193,7 @@ func Verify(c *netlist.Circuit, opt Options) (*Report, error) {
 	}
 	var tim *timing.Report
 	opt.stage("timing", func() {
-		tim, err = timing.Analyze(rec, timing.Options{
+		tim, err = timing.Analyze(rec, sigs, timing.Options{
 			Proc:              opt.Proc,
 			Clock:             opt.Clock,
 			CouplingPessimism: opt.CouplingPessimism,

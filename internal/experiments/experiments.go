@@ -156,8 +156,9 @@ func Figure3() (*Figure3Result, error) {
 	})}
 	var sb strings.Builder
 	sb.WriteString("Figure 3: noise sources in dynamic structures (domino adder, per-source budget)\n")
+	sigs := netlist.ComputeSignatures(c)
 	for _, source := range []string{"coupling", "charge-share", "dynamic-leakage"} {
-		fs, err := checks.Run(source, rec, opt)
+		fs, err := checks.Run(source, rec, sigs, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -203,7 +204,7 @@ func Figure4() (*Figure4Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", cname, err)
 		}
-		return timing.Analyze(rec, timing.Options{Proc: proc, Clock: clock})
+		return timing.Analyze(rec, netlist.ComputeSignatures(ckt), timing.Options{Proc: proc, Clock: clock})
 	}
 	clean, err := analyze("clean", designs.LatchPipeline(6, false))
 	if err != nil {
@@ -603,12 +604,13 @@ func S6() (*S6Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	sigsRacy, sigsClean := netlist.ComputeSignatures(racy), netlist.ComputeSignatures(clean)
 	// Aggressive clock chosen so that with maximum pessimism the clean
 	// design's worst path fails setup (a false violation: the design is
 	// fine at nominal coupling). Found by scanning periods downward for
 	// the window where nominal passes but fully-bounded analysis fails.
 	negCount := func(periodPS, pess float64) (int, error) {
-		r, err := timing.Analyze(recClean, timing.Options{
+		r, err := timing.Analyze(recClean, sigsClean, timing.Options{
 			Proc: proc, Clock: timing.TwoPhase(periodPS), CouplingPessimism: pess,
 		})
 		if err != nil {
@@ -646,13 +648,13 @@ func S6() (*S6Result, error) {
 	fmt.Fprintf(&sb, "  clock period %.0f ps (chosen just inside the nominal-coupling limit)\n", period)
 	sb.WriteString("  pessimism  bound-width(ps)  min-period(ps)  races-caught  false-setup-violations\n")
 	for _, pess := range []float64{1.0001, 1.15, 1.3, 1.5, 1.7} {
-		r1, err := timing.Analyze(recRacy, timing.Options{
+		r1, err := timing.Analyze(recRacy, sigsRacy, timing.Options{
 			Proc: proc, Clock: timing.TwoPhase(period), CouplingPessimism: pess,
 		})
 		if err != nil {
 			return nil, err
 		}
-		r2, err := timing.Analyze(recClean, timing.Options{
+		r2, err := timing.Analyze(recClean, sigsClean, timing.Options{
 			Proc: proc, Clock: timing.TwoPhase(period), CouplingPessimism: pess,
 		})
 		if err != nil {

@@ -39,16 +39,19 @@ type cacheKey struct {
 	cfg string
 }
 
-// cacheEntry carries the creating caller's circuit and options into the
-// once body, so the verification — and its telemetry spans — always
-// attribute to the item whose lookup created the entry (the run's
-// deterministic miss), even when a concurrent hit wins the race to
-// execute the once. done flips after the once completes, letting later
-// callers distinguish a settled hit from blocking on an in-flight run.
+// cacheEntry carries the creating caller's circuit, signature table and
+// options into the once body, so the verification — and its telemetry
+// spans — always attribute to the item whose lookup created the entry
+// (the run's deterministic miss), even when a concurrent hit wins the
+// race to execute the once. The once releases all three: a settled
+// entry keeps no circuit-sized input. done flips after the once
+// completes, letting later callers distinguish a settled hit from
+// blocking on an in-flight run.
 type cacheEntry struct {
 	once    sync.Once
 	done    atomic.Bool
 	circuit func() (*netlist.Circuit, error)
+	sigs    *netlist.Signatures // nil: core computes the table
 	opt     core.Options
 	rep     *core.Report
 	err     error
@@ -111,7 +114,9 @@ func (c *Cache) Len() int {
 // The circuit arrives as a provider, invoked only when the outcome
 // actually has to be computed — never on a memory or disk hit. That is
 // what makes lazy items (Item.Lazy) effective: a warm re-verify skips
-// circuit construction entirely for every cache-hit key.
+// circuit construction entirely for every cache-hit key. sigs, when
+// non-nil, is that circuit's signature table, already computed for the
+// key; core then reuses it instead of refining the circuit again.
 //
 // When disk is non-nil the once body consults the persistent layer
 // first: a disk hit replays the stored outcome without running
@@ -120,12 +125,12 @@ func (c *Cache) Len() int {
 // not poison future runs). Because the disk I/O happens inside the
 // once, per-key disk hit/miss counts stay singleflight-deterministic
 // at any worker count, exactly like the memory layer's.
-func (c *Cache) verify(fp netlist.Fingerprint, cfg string, circuit func() (*netlist.Circuit, error), opt core.Options, disk *DiskCache, looked func()) (e *cacheEntry, fresh, inflight bool) {
+func (c *Cache) verify(fp netlist.Fingerprint, cfg string, circuit func() (*netlist.Circuit, error), sigs *netlist.Signatures, opt core.Options, disk *DiskCache, looked func()) (e *cacheEntry, fresh, inflight bool) {
 	key := cacheKey{fp: fp, cfg: cfg}
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {
-		e = &cacheEntry{circuit: circuit, opt: opt}
+		e = &cacheEntry{circuit: circuit, sigs: sigs, opt: opt}
 		c.entries[key] = e
 		fresh = true
 	}
@@ -145,7 +150,11 @@ func (c *Cache) verify(fp netlist.Fingerprint, cfg string, circuit func() (*netl
 		if e.rep == nil {
 			var circ *netlist.Circuit
 			if circ, e.err = e.circuit(); e.err == nil {
-				e.rep, e.err = core.Verify(circ, e.opt)
+				if e.sigs != nil {
+					e.rep, e.err = core.VerifyWithSignatures(circ, e.sigs, e.opt)
+				} else {
+					e.rep, e.err = core.Verify(circ, e.opt)
+				}
 			}
 			if disk != nil && e.err == nil {
 				var serr error
@@ -153,7 +162,7 @@ func (c *Cache) verify(fp netlist.Fingerprint, cfg string, circuit func() (*netl
 				e.diskWrote = serr == nil
 			}
 		}
-		e.circuit, e.opt = nil, core.Options{} // release the inputs
+		e.circuit, e.sigs, e.opt = nil, nil, core.Options{} // release the inputs
 		e.done.Store(true)
 	})
 	return e, fresh, inflight

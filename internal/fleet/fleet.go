@@ -53,10 +53,15 @@ type Item struct {
 	// to actual misses. Without Key it still runs exactly once, but up
 	// front (the circuit must be fingerprinted), losing the laziness.
 	Lazy func() (*netlist.Circuit, error)
-	// Key, when non-zero, overrides the cache-key fingerprint. The
-	// hierarchical driver keys each subcell scope on the cell's DAG
-	// fingerprint — which moves when any descendant changes — instead
-	// of the scope circuit's own hash, which would not.
+	// Key, when non-zero, is the cache-key fingerprint, and the fleet
+	// does not refine the circuit to find it. The hierarchical driver
+	// keys each subcell scope on the cell's DAG fingerprint — which
+	// moves when any descendant changes — instead of the scope circuit's
+	// own hash, which would not. The daemon's parse cache stores each
+	// flat item with Key set to Circuit.Fingerprint, so a warm repeat
+	// skips the refinement. A zero Key makes the fleet compute the
+	// circuit's signature table, take the key from it, and hand it to
+	// core.Verify on a miss.
 	Key netlist.Fingerprint
 }
 
@@ -331,6 +336,9 @@ func Verify(items []Item, opt Options) *Report {
 				}
 				work := func() {
 					res.Fingerprint = it.Key
+					// A keyless item is refined once, here: the table gives
+					// the key, and a miss hands it on to core.
+					var sigs *netlist.Signatures
 					if res.Fingerprint == (netlist.Fingerprint{}) {
 						c, err := circ()
 						if err != nil {
@@ -339,10 +347,11 @@ func Verify(items []Item, opt Options) *Report {
 							close(turn[i+1])
 							return
 						}
-						res.Fingerprint = c.Fingerprint()
+						sigs = netlist.ComputeSignatures(c)
+						res.Fingerprint = sigs.Fingerprint()
 					}
 					<-turn[i]
-					e, fresh, blocked := cache.verify(res.Fingerprint, cfg, circ, copt, opt.DiskCache, func() { close(turn[i+1]) })
+					e, fresh, blocked := cache.verify(res.Fingerprint, cfg, circ, sigs, copt, opt.DiskCache, func() { close(turn[i+1]) })
 					res.Report, res.Err = e.rep, e.err
 					res.Cached = !fresh
 					res.DiskHit = e.disk == diskHit

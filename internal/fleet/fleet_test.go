@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -198,6 +199,48 @@ func TestCorpusFromLibrary(t *testing.T) {
 	rep := Verify(items, Options{Core: coreOpts(), Cache: NewCache()})
 	if rep.HasViolations() {
 		t.Errorf("trivial hierarchy should verify:\n%s", rep.Text())
+	}
+}
+
+// TestPresetKeyMatchesKeyless: an item whose Key is preset to its
+// circuit's fingerprint, as the daemon's parse cache stores it (core
+// then computes the signature table), gives the same report text and
+// manifest stable half as a keyless item (the fleet computes the table,
+// keys on it and hands it to core), with and without the lint gate.
+func TestPresetKeyMatchesKeyless(t *testing.T) {
+	run := func(keyed, lint bool) (string, []byte) {
+		items := zoo()
+		if keyed {
+			for i := range items {
+				items[i].Key = items[i].Circuit.Fingerprint()
+			}
+		}
+		copt := coreOpts()
+		copt.Lint = lint
+		rep := Verify(items, Options{Core: copt, Workers: 2})
+		m := BuildManifest("test", rep, nil)
+		m.WallMS = 0
+		for i := range m.Items {
+			m.Items[i].ElapsedMS = 0
+		}
+		b, err := m.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Text(), b
+	}
+	for _, lint := range []bool{false, true} {
+		text, stable := run(false, lint)
+		keyedText, keyedStable := run(true, lint)
+		if keyedText != text {
+			t.Errorf("lint=%v: report text differs with preset keys:\n--- keyless ---\n%s--- keyed ---\n%s", lint, text, keyedText)
+		}
+		if string(keyedStable) != string(stable) {
+			t.Errorf("lint=%v: manifest stable half differs with preset keys", lint)
+		}
+		if !strings.Contains(string(stable), `"id": "check/`) {
+			t.Errorf("lint=%v: corpus raised no check findings; the comparison has nothing to bite on", lint)
+		}
 	}
 }
 

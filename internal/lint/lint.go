@@ -291,12 +291,13 @@ func Run(c *netlist.Circuit, opt Options) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: %w", err)
 	}
-	return RunRecognized(rec, opt), nil
+	return RunRecognized(rec, netlist.ComputeSignatures(c), opt), nil
 }
 
-// RunRecognized lints a circuit whose recognition result the caller
-// already has (the CBV pipeline computes it anyway).
-func RunRecognized(rec *recognize.Result, opt Options) *Report {
+// RunRecognized lints a circuit whose recognition result and signature
+// table the caller already has (the CBV pipeline computes both anyway);
+// sigs names the diagnostics (see attachIDs).
+func RunRecognized(rec *recognize.Result, sigs *netlist.Signatures, opt Options) *Report {
 	rules := opt.Rules
 	if rules == nil {
 		rules = DefaultRules()
@@ -317,7 +318,7 @@ func RunRecognized(rec *recognize.Result, opt Options) *Report {
 	// subjects follows report order), then re-sort: the IDs now break
 	// any remaining ties, making the order a pure function of content.
 	sortDiags(diags)
-	attachIDs(diags, rec.Circuit)
+	attachIDs(diags, sigs)
 	sortDiags(diags)
 	return &Report{Diags: diags}
 }
@@ -325,11 +326,10 @@ func RunRecognized(rec *recognize.Result, opt Options) *Report {
 // attachIDs fills each diagnostic's stable rename-invariant identity
 // after sorting, so "#n" disambiguation of structurally symmetric
 // subjects follows the deterministic report order.
-func attachIDs(diags []Diag, c *netlist.Circuit) {
+func attachIDs(diags []Diag, sigs *netlist.Signatures) {
 	if len(diags) == 0 {
 		return
 	}
-	sigs := netlist.ComputeSignatures(c)
 	ids := make([]string, len(diags))
 	for i, d := range diags {
 		ids[i] = sigs.FindingID("lint", d.Rule, d.Subject)

@@ -47,8 +47,8 @@ const fpRounds = 8
 
 // refined holds the converged Weisfeiler-Lehman labels: one canonical
 // hash per node and per element. Fingerprint digests the sorted
-// multisets; Signatures exposes the per-object labels so findings can
-// be identified by *where they are structurally*, not by name.
+// multisets; Signatures keeps the per-object labels so findings can be
+// identified by *where they are structurally*, not by name.
 type refined struct {
 	node []uint64
 	dev  []uint64
@@ -56,19 +56,14 @@ type refined struct {
 	inst []uint64
 }
 
-// refine runs the colour-refinement rounds and returns the final
-// labels. This is the shared engine of Fingerprint and Signatures.
-func (c *Circuit) refine() refined {
-	return c.refineLabels(nil)
-}
-
-// refineLabels is refine with the per-instance seed labels made
-// explicit. When instLabels is nil each instance seeds from its cell
-// *name* (the flat Fingerprint contract: a renamed child cell changes
-// the parent hash). Callers that know more about the children — the
-// hierarchical DAG fingerprint seeds each instance with the child's own
-// composed fingerprint, CellFingerprint seeds all instances with one
-// neutral constant — pass len(c.Instances) labels instead.
+// refineLabels runs the colour-refinement rounds and returns the final
+// labels; it is the shared engine of Fingerprint, Signatures and the
+// hierarchical hashes. When instLabels is nil each instance seeds from
+// its cell *name* (the flat Fingerprint contract: a renamed child cell
+// changes the parent hash). Callers that know more about the children —
+// the hierarchical DAG fingerprint seeds each instance with the child's
+// own composed fingerprint, CellFingerprint seeds all instances with
+// one neutral constant — pass len(c.Instances) labels instead.
 func (c *Circuit) refineLabels(instLabels []uint64) refined {
 	// Initial node labels: electrical invariants only — never the name,
 	// except the canonical supply identity (vdd and vss are global
@@ -265,15 +260,15 @@ func (c *Circuit) Fingerprint() Fingerprint {
 // fingerprintWith is Fingerprint over refineLabels(instLabels): the
 // digest of the converged label multisets with explicit instance seeds.
 func (c *Circuit) fingerprintWith(instLabels []uint64) Fingerprint {
-	return c.digestRefined(c.refineLabels(instLabels))
+	return c.refineLabels(instLabels).digest()
 }
 
-// digestRefined collapses a refinement result into the 256-bit hash.
-func (c *Circuit) digestRefined(r refined) Fingerprint {
-	// Final digest: element counts plus the sorted label multisets.
-	// Sorting removes any dependence on insertion order. refine()
-	// allocates fresh slices per call, so r is exclusively ours and can
-	// be sorted in place (Signatures takes its own refine() result).
+// digest collapses a refinement result into the 256-bit hash: the
+// element counts plus the sorted label multisets. Sorting removes any
+// dependence on insertion order. It sorts r's slices in place, so the
+// caller must own them: refineLabels allocates fresh ones per call, and
+// Signatures.Fingerprint digests copies of its table.
+func (r refined) digest() Fingerprint {
 	slices.Sort(r.dev)
 	slices.Sort(r.res)
 	slices.Sort(r.inst)
@@ -285,10 +280,10 @@ func (c *Circuit) digestRefined(r refined) Fingerprint {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		hw.Write(buf[:])
 	}
-	put(uint64(len(c.Nodes)))
-	put(uint64(len(c.Devices)))
-	put(uint64(len(c.Resistors)))
-	put(uint64(len(c.Instances)))
+	put(uint64(len(r.node)))
+	put(uint64(len(r.dev)))
+	put(uint64(len(r.res)))
+	put(uint64(len(r.inst)))
 	for _, v := range r.node {
 		put(v)
 	}

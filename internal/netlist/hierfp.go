@@ -313,10 +313,10 @@ func (l *Library) HierFingerprintMemo(top *Circuit, memo *HierFPMemo) (*HierFP, 
 		if !hit {
 			// A single refinement with the child DAG seeds yields both
 			// the composed structure hash and the boundary signature. The
-			// fold must run before digestRefined, which sorts rc in place.
+			// fold must run before digest, which sorts rc in place.
 			rc := c.refineLabels(childLabels)
 			info.Boundary = boundaryFold(c, rc)
-			composed := c.digestRefined(rc)
+			composed := rc.digest()
 
 			hw := sha256.New()
 			hw.Write([]byte(hierFPVersion))

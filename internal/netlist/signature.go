@@ -13,34 +13,57 @@
 // of the fingerprint, applied per object.
 package netlist
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// Signatures is the per-object canonical label table of one circuit.
-// It is read-only once computed and safe for concurrent readers. Each
-// stage that names findings computes its own table: the checks
-// battery, timing, the lint rules and the hier boundary pass each run
-// the refinement again on the circuit they were given.
+// Signatures is the per-object canonical label table of one circuit:
+// the refined label of every node, device, resistor and instance, plus
+// a device-name index. It is read-only once computed and safe for
+// concurrent readers. One table serves a whole verification: the fleet
+// takes its cache key from it (Fingerprint), and core.Verify hands it
+// to the checks battery, timing and the lint gate, which name their
+// findings from it. It describes the circuit as it was when computed,
+// so nothing keeps it past the verification it was computed for: a
+// circuit that can still change must not carry a stale table.
 type Signatures struct {
-	c    *Circuit
-	node []uint64
-	dev  []uint64
+	c *Circuit
+	refined
 	// devIndex maps device name to its index in c.Devices.
 	devIndex map[string]int
 }
 
 // ComputeSignatures runs the refinement and indexes the result.
 func ComputeSignatures(c *Circuit) *Signatures {
-	r := c.refine()
 	s := &Signatures{
 		c:        c,
-		node:     r.node,
-		dev:      r.dev,
+		refined:  c.refineLabels(nil),
 		devIndex: make(map[string]int, len(c.Devices)),
 	}
 	for i, d := range c.Devices {
 		s.devIndex[d.Name] = i
 	}
 	return s
+}
+
+// Fingerprint returns the structural hash of the circuit the table was
+// computed from, byte-equal to its Circuit.Fingerprint. It digests
+// sorted copies, so the table's labels stay in element order.
+func (s *Signatures) Fingerprint() Fingerprint {
+	return refined{
+		node: slices.Clone(s.node),
+		dev:  slices.Clone(s.dev),
+		res:  slices.Clone(s.res),
+		inst: slices.Clone(s.inst),
+	}.digest()
+}
+
+// DeviceIndex returns the index in Circuit.Devices of the device named
+// name, and whether there is one.
+func (s *Signatures) DeviceIndex(name string) (int, bool) {
+	i, ok := s.devIndex[name]
+	return i, ok
 }
 
 // SubjectSig resolves a finding subject to a canonical label: a node

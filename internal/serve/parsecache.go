@@ -13,6 +13,9 @@ import (
 // structural-fingerprint caches, the parse itself — tokenizing,
 // subckt expansion, flattening — ran from scratch on every request.
 // A byte-identical resubmit now skips straight to its warm deckLoad.
+// Flat entries also carry each item's cache key (fleet.Item.Key, the
+// circuit's fingerprint, computed once at load), so the resubmit skips
+// the structural refinement too and goes straight to the fleet cache.
 //
 // Sharing parsed decks across concurrent requests is safe because the
 // verification pipeline treats netlist.Circuit as read-only: the only

@@ -400,7 +400,8 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 }
 
 // deckLoad is loadDeck's result and the parse cache's entry: the flat
-// item list, or — for ?hier=1 requests — the parsed library plus
+// item list, each item with its Key already set to its circuit's
+// fingerprint, or — for ?hier=1 requests — the parsed library plus
 // resolved top cell for VerifyHier (lib non-nil selects the
 // hierarchical path).
 type deckLoad struct {
@@ -462,6 +463,11 @@ func (s *Server) loadDeck(r *http.Request) (ld deckLoad, src, deckSHA string, er
 		}
 	} else {
 		ld.items, err = fleet.ItemsFromDeck(bytes.NewReader(data), src, top, cells)
+		// Key each item now, so the cache entry carries it and a warm
+		// repeat goes to the fleet cache without refining the circuit.
+		for i := range ld.items {
+			ld.items[i].Key = ld.items[i].Circuit.Fingerprint()
+		}
 	}
 	if err != nil {
 		return deckLoad{}, src, deckSHA, err

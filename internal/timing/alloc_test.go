@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/designs"
+	"repro/internal/netlist"
 	"repro/internal/process"
 	"repro/internal/recognize"
 	"repro/internal/timing"
@@ -19,12 +20,13 @@ func TestAnalyzeAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sigs := netlist.ComputeSignatures(c)
 	opt := timing.Options{Proc: process.CMOS075(), Clock: timing.TwoPhase(3000)}
-	if _, err := timing.Analyze(rec, opt); err != nil {
+	if _, err := timing.Analyze(rec, sigs, opt); err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(5, func() {
-		if _, err := timing.Analyze(rec, opt); err != nil {
+		if _, err := timing.Analyze(rec, sigs, opt); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -118,8 +118,10 @@ func (r *Report) PathNodeNames(p *Path) []string {
 	return out
 }
 
-// Analyze runs static timing over a recognized circuit.
-func Analyze(rec *recognize.Result, opt Options) (*Report, error) {
+// Analyze runs static timing over a recognized circuit. sigs is the
+// signature table of rec.Circuit; it names the paths (see
+// attachPathIDs).
+func Analyze(rec *recognize.Result, sigs *netlist.Signatures, opt Options) (*Report, error) {
 	if opt.Proc == nil {
 		return nil, fmt.Errorf("timing: missing process model")
 	}
@@ -147,7 +149,7 @@ func Analyze(rec *recognize.Result, opt Options) (*Report, error) {
 	rep := &Report{Circuit: a.c, Arcs: a.arcs, Arrival: make(map[netlist.NodeID]Bounds)}
 	a.propagate(rep)
 	a.check(rep)
-	attachPathIDs(rep)
+	attachPathIDs(rep, sigs)
 	return rep, nil
 }
 
@@ -155,11 +157,10 @@ func Analyze(rec *recognize.Result, opt Options) (*Report, error) {
 // Paths are already in their deterministic (slack-sorted) order, so the
 // "#n" disambiguation of structurally symmetric endpoints is stable;
 // Races are copies of Paths entries and inherit the IDs by endpoint.
-func attachPathIDs(rep *Report) {
+func attachPathIDs(rep *Report, sigs *netlist.Signatures) {
 	if len(rep.Paths) == 0 {
 		return
 	}
-	sigs := netlist.ComputeSignatures(rep.Circuit)
 	setup := make([]string, len(rep.Paths))
 	hold := make([]string, len(rep.Paths))
 	for i, p := range rep.Paths {

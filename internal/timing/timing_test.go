@@ -35,7 +35,7 @@ func analyzeCircuit(t *testing.T, c *netlist.Circuit, opt Options) (*recognize.R
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Analyze(rec, opt)
+	rep, err := Analyze(rec, netlist.ComputeSignatures(c), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,13 +313,13 @@ func TestAnalyzeOptionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Analyze(rec, Options{Clock: TwoPhase(1000)}); err == nil {
+	if _, err := Analyze(rec, netlist.ComputeSignatures(c), Options{Clock: TwoPhase(1000)}); err == nil {
 		t.Error("missing process should fail")
 	}
-	if _, err := Analyze(rec, Options{Proc: process.CMOS075(), Clock: ClockSpec{}}); err == nil {
+	if _, err := Analyze(rec, netlist.ComputeSignatures(c), Options{Proc: process.CMOS075(), Clock: ClockSpec{}}); err == nil {
 		t.Error("invalid clock should fail")
 	}
-	if _, err := Analyze(rec, Options{Proc: process.CMOS075(), Clock: TwoPhase(1000), CouplingPessimism: 0.5}); err == nil {
+	if _, err := Analyze(rec, netlist.ComputeSignatures(c), Options{Proc: process.CMOS075(), Clock: TwoPhase(1000), CouplingPessimism: 0.5}); err == nil {
 		t.Error("pessimism < 1 should fail")
 	}
 }
@@ -467,7 +467,7 @@ func TestClockSkewTightensChecks(t *testing.T) {
 	}
 	opt := defaultOpts()
 	opt.ClockSkewPS = -5
-	if _, err := Analyze(rec, opt); err == nil {
+	if _, err := Analyze(rec, netlist.ComputeSignatures(c), opt); err == nil {
 		t.Error("negative skew accepted")
 	}
 }
