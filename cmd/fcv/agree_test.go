@@ -34,7 +34,8 @@ type agreeRow struct {
 // TestCLIAndDaemonAgree pins the one top-cell rule across the two front
 // doors: for every row, `fcv verify … -manifest` and POST /verify of the
 // same file either both reject the deck or both accept it with the same
-// items — fingerprint, verdict and finding IDs, in order.
+// configuration key and the same items — fingerprint, verdict and
+// finding IDs, in order.
 func TestCLIAndDaemonAgree(t *testing.T) {
 	proc, err := process.ByName("cmos075")
 	if err != nil {
@@ -84,6 +85,11 @@ func TestCLIAndDaemonAgree(t *testing.T) {
 			}
 			if !r.accept {
 				return
+			}
+			// A CLI run and the daemon share a -cache-dir only when
+			// their configuration keys match.
+			if cli.ConfigKey != daemon.ConfigKey {
+				t.Errorf("config key: CLI %q, daemon %q", cli.ConfigKey, daemon.ConfigKey)
 			}
 			if len(cli.Items) != len(daemon.Items) {
 				t.Fatalf("CLI has %d items, daemon %d", len(cli.Items), len(daemon.Items))

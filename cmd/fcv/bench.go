@@ -368,7 +368,7 @@ func runBench(args []string, out *os.File) error {
 		col.SetGauge("bench.hier_cold_designs_per_sec", m.HierColdDesignsPerSec)
 		col.SetGauge("bench.hier_edit_one_leaf_reverify_per_sec", m.HierEditOneLeafReverifyPerSec)
 		col.SetGauge("bench.hier_incremental_speedup", m.HierIncrementalSpeedup)
-		mf := buildManifest("fcv bench", coldRep, col)
+		mf := fleet.BuildManifest("fcv bench", coldRep, col)
 		mf.WallMS = float64(obs.Now().Sub(benchStart).Microseconds()) / 1000
 		if err := mf.WriteFile(*manifestPath); err != nil {
 			return err

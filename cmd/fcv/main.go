@@ -445,7 +445,7 @@ func runVerify(args []string, proc *process.Process, period float64, out *os.Fil
 		fmt.Fprint(out, col.CountersText())
 	}
 	if *manifestPath != "" {
-		if err := buildManifest("fcv verify", rep, col).WriteFile(*manifestPath); err != nil {
+		if err := fleet.BuildManifest("fcv verify", rep, col).WriteFile(*manifestPath); err != nil {
 			return err
 		}
 	}

@@ -5,16 +5,8 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/fleet"
 	"repro/internal/obs"
 )
-
-// buildManifest assembles the run manifest from a fleet report and its
-// telemetry collector; the heavy lifting lives in fleet.BuildManifest
-// so the serve daemon emits the same document shape.
-func buildManifest(tool string, rep *fleet.Report, col *obs.Collector) *obs.Manifest {
-	return fleet.BuildManifest(tool, rep, col)
-}
 
 // runManifestCheck is the manifest-check subcommand: validate a run
 // manifest against the fcv-run-manifest/v2 schema; any other schema ID

@@ -17,48 +17,25 @@ import (
 	"repro/internal/experiments"
 )
 
-// runners maps experiment ids to their run functions.
-var runners = map[string]func() (string, error){
-	"t1": func() (string, error) { r, err := experiments.Table1(); return rep(r, err) },
-	"f1": func() (string, error) { r, err := experiments.Figure1(); return rep(r, err) },
-	"f2": func() (string, error) { r, err := experiments.Figure2(); return rep(r, err) },
-	"f3": func() (string, error) { r, err := experiments.Figure3(); return rep(r, err) },
-	"f4": func() (string, error) { r, err := experiments.Figure4(); return rep(r, err) },
-	"f5": func() (string, error) { r, err := experiments.Figure5(); return rep(r, err) },
-	"s1": func() (string, error) { r, err := experiments.S1(); return rep(r, err) },
-	"s2": func() (string, error) { r, err := experiments.S2(); return rep(r, err) },
-	"s3": func() (string, error) { r, err := experiments.S3(); return rep(r, err) },
-	"s4": func() (string, error) { r, err := experiments.S4(); return rep(r, err) },
-	"s5": func() (string, error) { r, err := experiments.S5(); return rep(r, err) },
-	"s6": func() (string, error) { r, err := experiments.S6(); return rep(r, err) },
-	"a1": func() (string, error) { r, err := experiments.A1(); return rep(r, err) },
-	"a2": func() (string, error) { r, err := experiments.A2(); return rep(r, err) },
-}
-
-// rep unwraps the (result, err) pair into (report, err).
-func rep(r interface{ ReportString() string }, err error) (string, error) {
-	if err != nil {
-		return "", err
-	}
-	return r.ReportString(), nil
-}
-
-// order lists experiments in paper order.
-var order = []string{"t1", "f1", "f2", "f3", "f4", "f5", "s1", "s2", "s3", "s4", "s5", "s6", "a1", "a2"}
-
 func main() {
+	var known []string
+	byID := make(map[string]experiments.Experiment, len(experiments.List))
+	for _, e := range experiments.List {
+		known = append(known, e.ID)
+		byID[e.ID] = e
+	}
 	args := os.Args[1:]
 	if len(args) == 0 {
-		args = order
+		args = known
 	}
 	failed := false
 	for _, id := range args {
-		run, ok := runners[strings.ToLower(id)]
+		e, ok := byID[strings.ToLower(id)]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "repro: unknown experiment %q (known: %s)\n", id, strings.Join(order, " "))
+			fmt.Fprintf(os.Stderr, "repro: unknown experiment %q (known: %s)\n", id, strings.Join(known, " "))
 			os.Exit(2)
 		}
-		out, err := run()
+		out, err := e.Run()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "repro: %s: %v\n", id, err)
 			failed = true

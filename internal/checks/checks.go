@@ -24,6 +24,7 @@ import (
 	"sort"
 
 	"repro/internal/netlist"
+	"repro/internal/obs"
 	"repro/internal/process"
 	"repro/internal/recognize"
 )
@@ -73,27 +74,11 @@ type Finding struct {
 	// signature (netlist.Signatures), not its name. Filled by the
 	// provenance pass after the battery runs.
 	ID string
-	// Evidence is the structured context behind the finding, filled by
-	// the provenance pass.
-	Evidence Evidence
-}
-
-// Evidence is the structured context of a finding: what the check
-// looked at and what it measured, so run reports can explain a verdict
-// without re-running the battery.
-type Evidence struct {
-	// Devices are the transistors involved (bounded).
-	Devices []string
-	// Nets are the nodes involved, subject first (bounded).
-	Nets []string
-	// Context describes the recognized topology around the subject
-	// (logic family, dynamic/state-ness).
-	Context string
-	// Measured and Threshold are the compared quantities in Unit; for
-	// normalized checks both are margins against 0.
-	Measured, Threshold float64
-	// Unit names the quantity ("margin").
-	Unit string
+	// Evidence is the structured context behind the finding: what the
+	// check looked at and what it measured, so run reports can explain a
+	// verdict without re-running the battery. Filled by the provenance
+	// pass.
+	Evidence obs.Evidence
 }
 
 // Coupling describes extracted coupling capacitance onto a victim node.
@@ -112,23 +97,17 @@ type Options struct {
 	// frequency.
 	PeriodPS float64
 	// Couplings carries extracted coupling caps (victim-keyed) for the
-	// coupling-noise analysis. Without extraction data the coupling
-	// check estimates from node wire capacitance.
+	// coupling-noise analysis. It is the check's only input: a victim
+	// without an entry gets no coupling finding.
 	Couplings []Coupling
 	// AntennaRatios carries per-node metal/gate area ratios from layout
 	// extraction. Nodes can alternatively be annotated with an
 	// "antenna" attribute.
 	AntennaRatios map[string]float64
-	// ActivityFactor is the fraction of cycles a typical node switches
-	// (for electromigration averaging). Default 0.15.
-	ActivityFactor float64
 	// SupplyDropMV maps supply-domain names (node "supply_domain"
 	// attributes; "" is the core domain) to their IR drop in mV, for
 	// the supply-difference noise analysis. Empty disables the check.
 	SupplyDropMV map[string]float64
-	// QCollectFC is the particle-strike collected charge in fC for the
-	// alpha/SER check (0 uses the era-typical 50 fC).
-	QCollectFC float64
 }
 
 // Report aggregates a battery run.
@@ -209,9 +188,6 @@ func prepare(rec *recognize.Result, opt *Options) (*shared, error) {
 	}
 	if opt.PeriodPS <= 0 {
 		opt.PeriodPS = 1e6 / opt.Proc.ClockFreqMHz // MHz → ps
-	}
-	if opt.ActivityFactor <= 0 {
-		opt.ActivityFactor = 0.15
 	}
 	return &shared{
 		adj:   netlist.NewAdjacency(rec.Circuit),

@@ -358,15 +358,14 @@ func TestElectromigrationWidthAttribute(t *testing.T) {
 	c := netlist.New("em")
 	c.DeclarePort("y")
 	addInv(c, "u", "a", "y", 40, 0.75)
-	c.AddCap("y", 10000) // 10 pF bus at 200 MHz
+	c.AddCap("y", 70000) // 70 pF bus at 200 MHz
 	o := opts()
-	o.ActivityFactor = 1 // a clock-like, always-switching net
 	fs, err := run("electromigration", rec(t, c), o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(fs) != 1 || fs[0].Verdict == Pass {
-		t.Errorf("min-width wire at 4 pF should be flagged: %+v", fs)
+		t.Errorf("min-width wire at 70 pF should be flagged: %+v", fs)
 	}
 	// Widening the wire fixes it.
 	c.SetAttr(c.FindNode("y"), "wire_width", "20")

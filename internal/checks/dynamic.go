@@ -25,8 +25,8 @@ func checkCoupling(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 	loads := sh.loads
 	vtn := p.Vt(process.NMOS, process.StandardVt, process.Fast)
 
-	// Gather coupling per victim: extracted data plus a wire-fraction
-	// estimate for victims with explicit wire load but no extraction.
+	// Gather coupling per victim from the extracted data alone: a
+	// victim without an Options.Couplings entry gets no finding.
 	type agg struct {
 		name  string
 		capFF float64
@@ -129,7 +129,7 @@ func checkChargeShare(rec *recognize.Result, opt *Options, sh *shared) []Finding
 			// prove the transient safe (that needs SPICE), so the
 			// finding is capped at Inspect rather than Violation —
 			// exactly the filter-and-let-the-designer-look posture.
-			keeper := hasKeeper(rec, sh.adj, f.Node)
+			keeper := rec.Keeper(f.Node) != nil
 			detail := fmt.Sprintf("droop %.2f V (Cint %.1f fF vs Cdyn %.1f fF, limit %.2f V)",
 				dv, cint, cdyn, vtn)
 			verdict := verdictFromMargin(margin, 0.3)
@@ -152,19 +152,6 @@ func checkChargeShare(rec *recognize.Result, opt *Options, sh *shared) []Finding
 	return out
 }
 
-// hasKeeper reports a non-clock PMOS from vdd on the node (a feedback
-// keeper).
-func hasKeeper(rec *recognize.Result, adj *netlist.Adjacency, id netlist.NodeID) bool {
-	c := rec.Circuit
-	for _, d := range adj.Channel(id) {
-		if d.Type == process.PMOS && !rec.IsClock(d.Gate) &&
-			(c.IsVdd(d.Source) || c.IsVdd(d.Drain)) {
-			return true
-		}
-	}
-	return false
-}
-
 // checkDynamicLeakage — "Dynamic node leakage checks" (Figure 3:
 // "sub-threshold leakage through the N-device network").
 //
@@ -183,27 +170,20 @@ func checkDynamicLeakage(rec *recognize.Result, opt *Options, sh *shared) []Find
 		if g.Family != recognize.FamilyDynamic {
 			continue
 		}
-		// Does the node have a keeper? A PMOS on the dynamic node gated
-		// by something other than the clock (feedback keeper).
 		for _, f := range g.Funcs {
-			keeper := false
-			var leak float64 // µA
-			for _, d := range sh.adj.Channel(f.Node) {
-				if d.Type == process.PMOS && !rec.IsClock(d.Gate) &&
-					(c.IsVdd(d.Source) || c.IsVdd(d.Drain)) {
-					keeper = true
-				}
-				if d.Type == process.NMOS {
-					leak += p.IleakUA(d.Type, d.Vt, d.W, d.ExtraL, process.Fast)
-				}
-			}
-			if keeper {
+			if rec.Keeper(f.Node) != nil {
 				out = append(out, Finding{
 					Check: "dynamic-leakage", Subject: c.NodeName(f.Node),
 					Verdict: Pass, Margin: 1,
 					Detail: "keeper present",
 				})
 				continue
+			}
+			var leak float64 // µA
+			for _, d := range sh.adj.Channel(f.Node) {
+				if d.Type == process.NMOS {
+					leak += p.IleakUA(d.Type, d.Vt, d.W, d.ExtraL, process.Fast)
+				}
 			}
 			if leak == 0 {
 				continue

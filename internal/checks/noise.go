@@ -101,6 +101,10 @@ func orCore(d string) string {
 	return d
 }
 
+// qCollectFC is the collected charge of a particle strike in fC, the
+// typical alpha deposit of the era.
+const qCollectFC = 50.0
+
 // checkParticle — Figure 3's substrate source: "Alpha particle and noise
 // induced minority carrier charge collection from the substrate and
 // wells."
@@ -108,17 +112,12 @@ func orCore(d string) string {
 // A particle strike deposits charge on a junction; if the node's critical
 // charge Qcrit = C·Vdd/2 is below the collected-charge magnitude, the
 // stored value flips. Only floating (dynamic/state) nodes matter — a
-// driven node is restored. Qcollect defaults to the era-typical value
-// and can be overridden for SER-hardening studies.
+// driven node is restored.
 func checkParticle(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 	var out []Finding
 	p := opt.Proc
 	c := rec.Circuit
 	loads := sh.loads
-	qcol := opt.QCollectFC
-	if qcol <= 0 {
-		qcol = 50 // fC, typical alpha deposit of the era
-	}
 	victims := append(append([]netlist.NodeID{}, rec.DynamicNodes...), rec.StateNodes...)
 	seen := make(map[netlist.NodeID]bool)
 	for _, id := range victims {
@@ -137,7 +136,7 @@ func checkParticle(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 		// Qcrit in fC: C[fF]·V/2.
 		qcrit := loads[id] * p.Vdd / 2
 		// Margin 1 at Qcrit ≥ 3×Qcollect, 0 at equality.
-		margin := (qcrit - qcol) / (2 * qcol)
+		margin := (qcrit - qCollectFC) / (2 * qCollectFC)
 		if margin > 1 {
 			margin = 1
 		}
@@ -145,7 +144,7 @@ func checkParticle(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 		if s, ok := c.Nodes[id].Attrs["ser_hardened"]; ok {
 			if v, err := strconv.ParseFloat(s, 64); err == nil {
 				qcrit += v
-				margin = (qcrit - qcol) / (2 * qcol)
+				margin = (qcrit - qCollectFC) / (2 * qCollectFC)
 				override = " (hardening credit applied)"
 			}
 		}
@@ -162,7 +161,7 @@ func checkParticle(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 			Subject: c.NodeName(id),
 			Verdict: verdict,
 			Margin:  margin,
-			Detail:  fmt.Sprintf("Qcrit %.1f fC vs Qcollect %.0f fC%s", qcrit, qcol, override),
+			Detail:  fmt.Sprintf("Qcrit %.1f fC vs Qcollect %.0f fC%s", qcrit, qCollectFC, override),
 		})
 	}
 	return out

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"repro/internal/netlist"
+	"repro/internal/obs"
 	"repro/internal/recognize"
 )
 
@@ -57,9 +58,9 @@ func sigSubject(c *netlist.Circuit, subject string) string {
 // nets around the subject plus the recognized topology context. Checks
 // report a normalized margin, so Measured is the margin against a 0
 // threshold.
-func buildEvidence(rec *recognize.Result, sigs *netlist.Signatures, adj *netlist.Adjacency, f *Finding) Evidence {
+func buildEvidence(rec *recognize.Result, sigs *netlist.Signatures, adj *netlist.Adjacency, f *Finding) obs.Evidence {
 	c := rec.Circuit
-	ev := Evidence{Measured: f.Margin, Threshold: 0, Unit: "margin"}
+	ev := obs.Evidence{Measured: f.Margin, Threshold: 0, Unit: "margin"}
 	name := sigSubject(c, f.Subject)
 	if id := c.FindNode(name); id != netlist.InvalidNode {
 		ev.Nets = append(ev.Nets, c.NodeName(id))

@@ -45,6 +45,10 @@ func checkClockRC(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 	return out
 }
 
+// activityFactor is the fraction of cycles a typical node switches, for
+// electromigration averaging.
+const activityFactor = 0.15
+
 // checkElectromigration — "Electromigration, statistical and absolute
 // failures."
 //
@@ -64,7 +68,7 @@ func checkElectromigration(rec *recognize.Result, opt *Options, sh *shared) []Fi
 			id := f.Node
 			// I_avg: C[fF]·V·f[GHz]·AF gives µA (1e-15 F · 1e9 /s);
 			// convert to mA for the J limit.
-			iAvgMA := loads[id] * p.Vdd * fGHz * opt.ActivityFactor * 1e-3
+			iAvgMA := loads[id] * p.Vdd * fGHz * activityFactor * 1e-3
 			width := 1.0 // µm, minimum width default
 			if w, ok := c.Nodes[id].Attrs["wire_width"]; ok {
 				if v, err := strconv.ParseFloat(w, 64); err == nil && v > 0 {

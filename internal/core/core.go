@@ -36,39 +36,34 @@ import (
 	"repro/internal/timing"
 )
 
-// Options configures a CBV run.
+// Options configures a CBV run. It holds only what a caller chooses:
+// every electrical check and every lint rule deduces its context from
+// the circuit itself, with the tool's fixed thresholds.
 type Options struct {
 	// Proc is the process model (required).
 	Proc *process.Process
 	// Clock is the clocking methodology; zero value uses a two-phase
 	// clock at the process's nominal frequency.
 	Clock timing.ClockSpec
-	// Checks forwards extraction data to the §4.2 battery.
-	Couplings     []checks.Coupling
-	AntennaRatios map[string]float64
-	// CouplingPessimism forwards to the timing verifier.
-	CouplingPessimism float64
-	// Lint enables the static pre-verification gate: the lint rule set
-	// runs before the electrical battery, its report is attached to the
-	// Report, and unwaived error-severity findings abort verification
-	// with a *LintGateError — a structurally broken circuit would only
-	// produce meaningless electrical and timing numbers.
+	// Lint enables the static pre-verification gate: the full lint
+	// rule set runs, without waivers, before the electrical battery, its
+	// report is attached to the Report, and error-severity findings
+	// abort verification with a *LintGateError — a structurally broken
+	// circuit would only produce meaningless electrical and timing
+	// numbers.
 	Lint bool
-	// LintOptions configures the gate (waivers, fanout ceiling, …).
-	LintOptions lint.Options
 	// Trace, when non-nil, is the parent span under which Verify opens
 	// one child span per pipeline stage (recognize, lint, checks,
 	// timing) and bumps counters on the owning collector. Telemetry
-	// never changes a verification outcome, so it is deliberately
-	// excluded from cache configuration keys.
+	// never changes a verification outcome, so Key leaves it out.
 	Trace *obs.Span
 	// Events, when non-nil, receives stage-start/stage-end events for
 	// the live JSONL stream. Like Trace, events never change outcomes
-	// and are excluded from cache keys.
+	// and Key leaves them out.
 	Events *obs.EventScope
 	// PprofLabels tags the running goroutine with an fcv_stage pprof
 	// label for the duration of each stage, so CPU profiles attribute
-	// samples to pipeline stages.
+	// samples to pipeline stages. Key leaves it out.
 	PprofLabels bool
 }
 
@@ -100,9 +95,30 @@ func (o *Options) ResolvedClock() timing.ClockSpec {
 	return o.Clock
 }
 
+// Key serializes every Options field that can change a verification
+// outcome into a stable string: the process, the resolved clock (period
+// and phase edges, phases in name order) and the lint gate. Two runs
+// with equal keys over circuits with equal fingerprints produce
+// interchangeable reports; that is what makes the fleet's memory and
+// disk caches sound across callers. The telemetry fields are left out.
+func (o *Options) Key() string {
+	var sb strings.Builder
+	if o.Proc != nil {
+		fmt.Fprintf(&sb, "proc=%+v", *o.Proc)
+	}
+	ck := o.ResolvedClock()
+	fmt.Fprintf(&sb, "|clock=%g", ck.PeriodPS)
+	for _, name := range ck.PhaseNames() {
+		ph := ck.Phases[name]
+		fmt.Fprintf(&sb, ",%s[%g,%g]", name, ph.OpenPS, ph.ClosePS)
+	}
+	fmt.Fprintf(&sb, "|lint=%v", o.Lint)
+	return sb.String()
+}
+
 // LintGateError is returned by Verify when the opt-in lint gate finds
 // error-severity structural defects. It carries the full report so
-// callers can render or waive the findings.
+// callers can render the findings.
 type LintGateError struct {
 	// Design is the rejected circuit's name.
 	Design string
@@ -140,8 +156,8 @@ type Report struct {
 	// violations goes up, the productivity of the designer goes down").
 	InspectLoad int
 	// Lint is the static-analysis report when the Options.Lint gate was
-	// enabled (nil otherwise). Unwaived warnings count toward
-	// InspectLoad; errors never reach here (Verify aborts).
+	// enabled (nil otherwise). Its warnings count toward InspectLoad;
+	// errors never reach here (Verify aborts).
 	Lint *lint.Report
 }
 
@@ -173,7 +189,7 @@ func VerifyWithSignatures(c *netlist.Circuit, sigs *netlist.Signatures, opt Opti
 	var lintRep *lint.Report
 	if opt.Lint {
 		opt.stage("lint", func() {
-			lintRep = lint.RunRecognized(rec, sigs, opt.LintOptions)
+			lintRep = lint.RunRecognized(rec, sigs, lint.Options{})
 		})
 		if lintRep.HasErrors() {
 			return nil, &LintGateError{Design: c.Name, Report: lintRep}
@@ -181,23 +197,14 @@ func VerifyWithSignatures(c *netlist.Circuit, sigs *netlist.Signatures, opt Opti
 	}
 	var chk *checks.Report
 	opt.stage("checks", func() {
-		chk, err = checks.RunAll(rec, sigs, checks.Options{
-			Proc:          opt.Proc,
-			PeriodPS:      opt.Clock.PeriodPS,
-			Couplings:     opt.Couplings,
-			AntennaRatios: opt.AntennaRatios,
-		})
+		chk, err = checks.RunAll(rec, sigs, checks.Options{Proc: opt.Proc, PeriodPS: opt.Clock.PeriodPS})
 	})
 	if err != nil {
 		return nil, err
 	}
 	var tim *timing.Report
 	opt.stage("timing", func() {
-		tim, err = timing.Analyze(rec, sigs, timing.Options{
-			Proc:              opt.Proc,
-			Clock:             opt.Clock,
-			CouplingPessimism: opt.CouplingPessimism,
-		})
+		tim, err = timing.Analyze(rec, sigs, timing.Options{Proc: opt.Proc, Clock: opt.Clock})
 	})
 	if err != nil {
 		return nil, err
@@ -271,14 +278,7 @@ func (r *Report) Findings() []obs.Finding {
 				Severity: f.Verdict.String(),
 				Margin:   f.Margin,
 				Detail:   f.Detail,
-				Evidence: obs.Evidence{
-					Devices:   f.Evidence.Devices,
-					Nets:      f.Evidence.Nets,
-					Context:   f.Evidence.Context,
-					Measured:  f.Evidence.Measured,
-					Threshold: f.Evidence.Threshold,
-					Unit:      f.Evidence.Unit,
-				},
+				Evidence: f.Evidence,
 			})
 		}
 	}

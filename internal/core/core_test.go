@@ -1,12 +1,15 @@
 package core
 
 import (
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/checks"
 	"repro/internal/designs"
 	"repro/internal/netlist"
+	"repro/internal/obs"
 	"repro/internal/process"
 	"repro/internal/recognize"
 	"repro/internal/timing"
@@ -215,5 +218,55 @@ func TestReportCarriesResolvedClock(t *testing.T) {
 	}
 	if opt2.Clock.PeriodPS != 1234 {
 		t.Errorf("caller's Options mutated: %+v", opt2.Clock)
+	}
+}
+
+// TestKeyCoversOptions ties Key to every Options field: each field has
+// cases that either must move the key (the field can change an outcome)
+// or must leave it alone (telemetry). A field added to Options without
+// a case fails here, before the fleet cache can alias two
+// configurations under one key.
+func TestKeyCoversOptions(t *testing.T) {
+	base := opts()
+	def := base.ResolvedClock()
+	edge := timing.TwoPhase(def.PeriodPS)
+	ph := edge.Phases["phi2"]
+	ph.ClosePS -= 10
+	edge.Phases["phi2"] = ph
+	type keyCase struct {
+		name  string
+		set   func(*Options)
+		moves bool
+	}
+	cases := map[string][]keyCase{
+		"Proc": {{"another process", func(o *Options) { o.Proc = process.CMOS050() }, true}},
+		"Clock": {
+			{"period", func(o *Options) { o.Clock = timing.TwoPhase(2 * def.PeriodPS) }, true},
+			{"phase edge", func(o *Options) { o.Clock = edge }, true},
+			{"spelled-out default", func(o *Options) { o.Clock = timing.TwoPhase(def.PeriodPS) }, false},
+		},
+		"Lint":        {{"gate on", func(o *Options) { o.Lint = true }, true}},
+		"Trace":       {{"span", func(o *Options) { o.Trace = obs.New().Start("verify") }, false}},
+		"Events":      {{"scope", func(o *Options) { o.Events = obs.NewEventSink(io.Discard).Scope("item") }, false}},
+		"PprofLabels": {{"labels on", func(o *Options) { o.PprofLabels = true }, false}},
+	}
+	typ := reflect.TypeOf(Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		if name := typ.Field(i).Name; cases[name] == nil {
+			t.Errorf("Options.%s has no case: decide whether it can change a verification outcome and extend Key or this table", name)
+		}
+	}
+	if len(cases) != typ.NumField() {
+		t.Errorf("%d cases for %d Options fields: drop the cases of removed fields", len(cases), typ.NumField())
+	}
+	want := base.Key()
+	for field, cs := range cases {
+		for _, c := range cs {
+			o := base
+			c.set(&o)
+			if moved := o.Key() != want; moved != c.moves {
+				t.Errorf("%s (%s): key moved = %v, want %v\nbase %s\ngot  %s", field, c.name, moved, c.moves, want, o.Key())
+			}
+		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/checks"
 	"repro/internal/designs"
-	"repro/internal/lint"
 	"repro/internal/netlist"
 )
 
@@ -43,26 +42,6 @@ func TestVerifyLintGateBlocksErrors(t *testing.T) {
 	}
 }
 
-func TestVerifyLintGateHonorsWaivers(t *testing.T) {
-	w, err := lint.ParseWaivers(strings.NewReader("FCV001 broken ghost intentional for test\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := opts()
-	opt.Lint = true
-	opt.LintOptions.Waivers = w
-	rep, err := Verify(brokenCell(), opt)
-	if err != nil {
-		t.Fatalf("waived Verify = %v, want success", err)
-	}
-	if rep.Lint == nil || rep.Lint.HasErrors() {
-		t.Errorf("lint report not attached or still erroring: %+v", rep.Lint)
-	}
-	if !strings.Contains(rep.Summary(), "lint:") {
-		t.Errorf("summary missing lint line:\n%s", rep.Summary())
-	}
-}
-
 func TestVerifyLintWarningsRaiseInspectLoad(t *testing.T) {
 	// A dangling-terminal warning survives the gate but must show up as
 	// designer inspection work.
@@ -92,5 +71,8 @@ func TestVerifyLintWarningsRaiseInspectLoad(t *testing.T) {
 	}
 	if gated.Lint == nil {
 		t.Error("lint report not attached")
+	}
+	if !strings.Contains(gated.Summary(), "lint:") {
+		t.Errorf("summary missing lint line:\n%s", gated.Summary())
 	}
 }

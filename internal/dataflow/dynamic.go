@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/netlist"
-	"repro/internal/process"
 	"repro/internal/recognize"
 )
 
@@ -40,7 +39,8 @@ type DynNode struct {
 	Kind Kind
 	// Clocks are the clock nets gating the structure, sorted.
 	Clocks []netlist.NodeID
-	// Keeper is the staticizing keeper device, nil when absent.
+	// Keeper is the staticizing keeper device (recognize.Result.Keeper),
+	// nil when absent.
 	Keeper *netlist.Device
 	// Footed, for domino nodes, mirrors the group's footed-evaluate
 	// property.
@@ -56,7 +56,6 @@ type DynNode struct {
 func (a *Analysis) classifyDynNodes() {
 	a.dynHeld = make(map[netlist.NodeID]*DynNode)
 	c := a.Rec.Circuit
-	keepers := a.findKeepers()
 	addNode := func(dn DynNode) {
 		a.dynNodes = append(a.dynNodes, dn)
 		a.dynHeld[dn.Node] = &a.dynNodes[len(a.dynNodes)-1]
@@ -69,7 +68,7 @@ func (a *Analysis) classifyDynNodes() {
 					Group:  gi,
 					Kind:   KindDomino,
 					Clocks: append([]netlist.NodeID(nil), g.ClockNets...),
-					Keeper: keepers[f.Node],
+					Keeper: a.Rec.Keeper(f.Node),
 					Footed: g.Footed,
 				}
 				seen := make(map[netlist.NodeID]bool)
@@ -97,7 +96,7 @@ func (a *Analysis) classifyDynNodes() {
 			if a.dynHeld[out] != nil || !a.ClockedStage(g, out) {
 				continue
 			}
-			dn := DynNode{Node: out, Group: gi, Kind: KindC2MOS, Keeper: keepers[out]}
+			dn := DynNode{Node: out, Group: gi, Kind: KindC2MOS, Keeper: a.Rec.Keeper(out)}
 			ckSet := make(map[netlist.NodeID]bool)
 			for _, p := range a.DrivePaths(g, out) {
 				for _, d := range p.Devices {
@@ -118,38 +117,6 @@ func (a *Analysis) classifyDynNodes() {
 	for i := range a.dynNodes {
 		a.dynHeld[a.dynNodes[i].Node] = &a.dynNodes[i]
 	}
-}
-
-// findKeepers scans for staticizing keepers: a PMOS from vdd onto a
-// node, gated by a non-clock net that some group drives (typically the
-// buffered output fed back). First device in deck order wins.
-func (a *Analysis) findKeepers() map[netlist.NodeID]*netlist.Device {
-	c := a.Rec.Circuit
-	keepers := make(map[netlist.NodeID]*netlist.Device)
-	for _, d := range c.Devices {
-		if d.Type != process.PMOS {
-			continue
-		}
-		node := netlist.InvalidNode
-		if c.IsVdd(d.Source) && !c.IsSupply(d.Drain) {
-			node = d.Drain
-		} else if c.IsVdd(d.Drain) && !c.IsSupply(d.Source) {
-			node = d.Source
-		}
-		if node == netlist.InvalidNode {
-			continue
-		}
-		if _, isCk := a.PhaseOf[d.Gate]; isCk {
-			continue
-		}
-		if _, driven := a.Rec.DriverOf[d.Gate]; !driven {
-			continue
-		}
-		if keepers[node] == nil {
-			keepers[node] = d
-		}
-	}
-	return keepers
 }
 
 // DynNodes returns the classified dynamic nodes, sorted by node ID.

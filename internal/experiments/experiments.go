@@ -696,33 +696,40 @@ func marginalRacyPipeline() *netlist.Circuit {
 	return c
 }
 
+// Experiment is one entry of List.
+type Experiment struct {
+	// ID is the experiment's short name ("t1", "f4", "s6", …).
+	ID string
+	// Run regenerates the experiment and returns its formatted report.
+	Run func() (string, error)
+}
+
+// List holds every experiment in paper order; All and cmd/repro both
+// run from it.
+var List = []Experiment{
+	{"t1", func() (string, error) { r, err := Table1(); return report(r, err) }},
+	{"f1", func() (string, error) { r, err := Figure1(); return report(r, err) }},
+	{"f2", func() (string, error) { r, err := Figure2(); return report(r, err) }},
+	{"f3", func() (string, error) { r, err := Figure3(); return report(r, err) }},
+	{"f4", func() (string, error) { r, err := Figure4(); return report(r, err) }},
+	{"f5", func() (string, error) { r, err := Figure5(); return report(r, err) }},
+	{"s1", func() (string, error) { r, err := S1(); return report(r, err) }},
+	{"s2", func() (string, error) { r, err := S2(); return report(r, err) }},
+	{"s3", func() (string, error) { r, err := S3(); return report(r, err) }},
+	{"s4", func() (string, error) { r, err := S4(); return report(r, err) }},
+	{"s5", func() (string, error) { r, err := S5(); return report(r, err) }},
+	{"s6", func() (string, error) { r, err := S6(); return report(r, err) }},
+	{"a1", func() (string, error) { r, err := A1(); return report(r, err) }},
+	{"a2", func() (string, error) { r, err := A2(); return report(r, err) }},
+}
+
 // All runs every experiment and concatenates the reports in paper order.
 func All() (string, error) {
 	var sb strings.Builder
-	type exp struct {
-		name string
-		run  func() (string, error)
-	}
-	exps := []exp{
-		{"T1", func() (string, error) { r, err := Table1(); return report(r, err) }},
-		{"F1", func() (string, error) { r, err := Figure1(); return report(r, err) }},
-		{"F2", func() (string, error) { r, err := Figure2(); return report(r, err) }},
-		{"F3", func() (string, error) { r, err := Figure3(); return report(r, err) }},
-		{"F4", func() (string, error) { r, err := Figure4(); return report(r, err) }},
-		{"F5", func() (string, error) { r, err := Figure5(); return report(r, err) }},
-		{"S1", func() (string, error) { r, err := S1(); return report(r, err) }},
-		{"S2", func() (string, error) { r, err := S2(); return report(r, err) }},
-		{"S3", func() (string, error) { r, err := S3(); return report(r, err) }},
-		{"S4", func() (string, error) { r, err := S4(); return report(r, err) }},
-		{"S5", func() (string, error) { r, err := S5(); return report(r, err) }},
-		{"S6", func() (string, error) { r, err := S6(); return report(r, err) }},
-		{"A1", func() (string, error) { r, err := A1(); return report(r, err) }},
-		{"A2", func() (string, error) { r, err := A2(); return report(r, err) }},
-	}
-	for _, e := range exps {
-		out, err := e.run()
+	for _, e := range List {
+		out, err := e.Run()
 		if err != nil {
-			return sb.String(), fmt.Errorf("%s: %w", e.name, err)
+			return sb.String(), fmt.Errorf("%s: %w", strings.ToUpper(e.ID), err)
 		}
 		sb.WriteString(out)
 		sb.WriteString("\n")

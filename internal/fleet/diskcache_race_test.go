@@ -71,7 +71,7 @@ func TestDiskCacheConcurrentStoreLoadGC(t *testing.T) {
 		{Name: "c", Circuit: designs.DominoAdder(8)},
 	}
 	copt := coreOpts()
-	cfg := configKey(&copt)
+	cfg := copt.Key()
 	type entry struct {
 		fp  netlist.Fingerprint
 		rep *core.Report

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -267,7 +266,7 @@ func Verify(items []Item, opt Options) *Report {
 		Workers: workers,
 	}
 	start := obs.Now()
-	cfg := configKey(&opt.Core) + opt.keySalt
+	cfg := opt.Core.Key() + opt.keySalt
 	rep.ConfigKey = cfg
 	// Per-item spans are pre-created in input order under the run's
 	// root span so the trace tree is deterministic no matter which
@@ -543,50 +542,6 @@ func (r *Report) TimingText() string {
 		fmt.Fprintf(&sb, "disk cache: hits=%d misses=%d corrupt=%d (hit ratio %.0f%%)\n",
 			r.DiskHits, r.DiskMisses, r.DiskCorrupt,
 			100*float64(r.DiskHits)/float64(r.DiskHits+r.DiskMisses))
-	}
-	return sb.String()
-}
-
-// configKey serializes every Options field that can change a
-// verification outcome into a stable string. Two runs with equal keys
-// and equal fingerprints must produce interchangeable reports — this is
-// what makes the cache sound across Options values. Map-typed fields
-// are serialized in sorted order; the clock is the *resolved* spec so
-// an explicit default and an implicit one share cache entries.
-func configKey(o *core.Options) string {
-	var sb strings.Builder
-	if o.Proc != nil {
-		fmt.Fprintf(&sb, "proc=%+v", *o.Proc)
-	}
-	ck := o.ResolvedClock()
-	fmt.Fprintf(&sb, "|clock=%g", ck.PeriodPS)
-	for _, name := range ck.PhaseNames() {
-		ph := ck.Phases[name]
-		fmt.Fprintf(&sb, ",%s[%g,%g]", name, ph.OpenPS, ph.ClosePS)
-	}
-	fmt.Fprintf(&sb, "|pess=%g|couplings=", o.CouplingPessimism)
-	for _, c := range o.Couplings {
-		fmt.Fprintf(&sb, "%s<%s:%g;", c.Victim, c.Aggressor, c.CapFF)
-	}
-	sb.WriteString("|antenna=")
-	antNets := make([]string, 0, len(o.AntennaRatios))
-	for net := range o.AntennaRatios {
-		antNets = append(antNets, net)
-	}
-	sort.Strings(antNets)
-	for _, net := range antNets {
-		fmt.Fprintf(&sb, "%s:%g;", net, o.AntennaRatios[net])
-	}
-	fmt.Fprintf(&sb, "|lint=%v", o.Lint)
-	if o.Lint {
-		lo := o.LintOptions
-		sb.WriteString(",rules=")
-		for _, r := range lo.Rules {
-			sb.WriteString(r.ID())
-			sb.WriteByte(';')
-		}
-		fmt.Fprintf(&sb, ",fanout=%d,wl=[%g,%g],geom=[%g,%g],waivers=%s",
-			lo.FanoutLimit, lo.MinWL, lo.MaxWL, lo.MaxWUm, lo.MaxLUm, lo.Waivers.KeyString())
 	}
 	return sb.String()
 }

@@ -96,27 +96,27 @@ type Rule interface {
 	Check(ctx *Context)
 }
 
-// Options configures a lint run.
+// Options configures a lint run. Every run applies DefaultRules().
 type Options struct {
-	// Rules selects the rule set; nil means DefaultRules().
-	Rules []Rule
 	// Waivers suppresses matching findings (nil: nothing waived).
 	Waivers *Waivers
 	// FanoutLimit is the FCV010 gate-fanout ceiling (0: default 64).
 	FanoutLimit int
-	// MaxWL and MinWL bound the FCV007 aspect-ratio sanity window
-	// (0: defaults 500 and 0.02).
-	MaxWL, MinWL float64
-	// MaxWUm and MaxLUm bound single-device geometry in µm
-	// (0: defaults 1000 and 100).
-	MaxWUm, MaxLUm float64
 }
 
-func (o Options) fanoutLimit() int { return defInt(o.FanoutLimit, 64) }
-func (o Options) maxWL() float64   { return defF(o.MaxWL, 500) }
-func (o Options) minWL() float64   { return defF(o.MinWL, 0.02) }
-func (o Options) maxW() float64    { return defF(o.MaxWUm, 1000) }
-func (o Options) maxL() float64    { return defF(o.MaxLUm, 100) }
+func (o Options) fanoutLimit() int {
+	if o.FanoutLimit <= 0 {
+		return 64
+	}
+	return o.FanoutLimit
+}
+
+// The FCV007 sanity window: a device's W/L must lie in [minWL, maxWL],
+// its width must not exceed maxWUm and its length maxLUm (µm).
+const (
+	maxWL, minWL   float64 = 500, 0.02
+	maxWUm, maxLUm float64 = 1000, 100
+)
 
 // ratioedMinStrength is the FCV016 margin: the weakest switched path
 // must beat the strongest always-on load path by this factor.
@@ -126,20 +126,6 @@ const ratioedMinStrength = 2.0
 // node capacitances, internal/output capacitance below this ratio is
 // harmless.
 const chargeShareRatio = 0.33
-
-func defInt(v, d int) int {
-	if v <= 0 {
-		return d
-	}
-	return v
-}
-
-func defF(v, d float64) float64 {
-	if v <= 0 {
-		return d
-	}
-	return v
-}
 
 // Context is the per-circuit view rules run against. It carries the
 // recognition result plus the circuit's adjacency index.
@@ -298,10 +284,6 @@ func Run(c *netlist.Circuit, opt Options) (*Report, error) {
 // table the caller already has (the CBV pipeline computes both anyway);
 // sigs names the diagnostics (see attachIDs).
 func RunRecognized(rec *recognize.Result, sigs *netlist.Signatures, opt Options) *Report {
-	rules := opt.Rules
-	if rules == nil {
-		rules = DefaultRules()
-	}
 	var diags []Diag
 	ctx := &Context{
 		Circuit: rec.Circuit,
@@ -310,7 +292,7 @@ func RunRecognized(rec *recognize.Result, sigs *netlist.Signatures, opt Options)
 		adj:     netlist.NewAdjacency(rec.Circuit),
 		diags:   &diags,
 	}
-	for _, rule := range rules {
+	for _, rule := range DefaultRules() {
 		rule.Check(ctx)
 	}
 	applyWaivers(diags, opt.Waivers)

@@ -259,10 +259,9 @@ func checkDangling(r *rule, ctx *Context) {
 // ---------------------------------------------------------------- FCV005
 
 // checkKeeperless flags recognized dynamic (precharge/evaluate) nodes
-// whose group carries no keeper: a PMOS from vdd onto the node gated by
-// an internally driven (feedback) net. Without one, the §4.2 leakage and
-// charge-sharing hazards have nothing holding the node through the
-// evaluate window.
+// without a keeper (recognize.Result.Keeper). Without one, the §4.2
+// leakage and charge-sharing hazards have nothing holding the node
+// through the evaluate window.
 func checkKeeperless(r *rule, ctx *Context) {
 	c := ctx.Circuit
 	for _, g := range ctx.Rec.Groups {
@@ -273,34 +272,13 @@ func checkKeeperless(r *rule, ctx *Context) {
 			if !ctx.Rec.IsDynamic(f.Node) {
 				continue
 			}
-			if dynamicKeeper(ctx, g, f.Node) != nil {
+			if ctx.Rec.Keeper(f.Node) != nil {
 				continue
 			}
 			r.emit(ctx, c.NodeName(f.Node), ctx.nodeLoc(f.Node),
 				"dynamic node %s has no keeper holding it through evaluate", c.NodeName(f.Node))
 		}
 	}
-}
-
-// dynamicKeeper returns a keeper device for the dynamic node, or nil: a
-// PMOS pull-up from vdd onto the node whose gate is not a clock and is
-// driven by some group (feedback through the output buffer).
-func dynamicKeeper(ctx *Context, g *recognize.Group, node netlist.NodeID) *netlist.Device {
-	c := ctx.Circuit
-	for _, d := range g.Devices {
-		if d.Type != process.PMOS {
-			continue
-		}
-		onNode := d.Source == node || d.Drain == node
-		onVdd := c.IsVdd(d.Source) || c.IsVdd(d.Drain)
-		if !onNode || !onVdd || ctx.Rec.IsClock(d.Gate) {
-			continue
-		}
-		if _, driven := ctx.Rec.DriverOf[d.Gate]; driven {
-			return d
-		}
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------- FCV006
@@ -346,7 +324,7 @@ func checkPassOnlyGate(r *rule, ctx *Context) {
 
 // checkGeometry flags device sizes no real transistor has: non-positive
 // W/L (error — the device model is meaningless) and aspect ratios or
-// absolute dimensions outside the configured sanity window (warn —
+// absolute dimensions outside the fixed sanity window (warn —
 // almost always a unit mistake, metres vs microns).
 func checkGeometry(r *rule, ctx *Context) {
 	for _, d := range ctx.Circuit.Devices {
@@ -354,18 +332,18 @@ func checkGeometry(r *rule, ctx *Context) {
 		case d.W <= 0 || d.L <= 0:
 			r.emitSev(ctx, Error, d.Name, d.Loc,
 				"device %s has non-positive geometry W=%g L=%g", d.Name, d.W, d.L)
-		case d.W/d.Leff() > ctx.Opt.maxWL():
+		case d.W/d.Leff() > maxWL:
 			r.emit(ctx, d.Name, d.Loc,
-				"device %s aspect ratio W/L=%.3g exceeds %.3g", d.Name, d.W/d.Leff(), ctx.Opt.maxWL())
-		case d.W/d.Leff() < ctx.Opt.minWL():
+				"device %s aspect ratio W/L=%.3g exceeds %.3g", d.Name, d.W/d.Leff(), maxWL)
+		case d.W/d.Leff() < minWL:
 			r.emit(ctx, d.Name, d.Loc,
-				"device %s aspect ratio W/L=%.3g is below %.3g", d.Name, d.W/d.Leff(), ctx.Opt.minWL())
-		case d.W > ctx.Opt.maxW():
+				"device %s aspect ratio W/L=%.3g is below %.3g", d.Name, d.W/d.Leff(), minWL)
+		case d.W > maxWUm:
 			r.emit(ctx, d.Name, d.Loc,
-				"device %s width %gµm exceeds %gµm", d.Name, d.W, ctx.Opt.maxW())
-		case d.Leff() > ctx.Opt.maxL():
+				"device %s width %gµm exceeds %gµm", d.Name, d.W, maxWUm)
+		case d.Leff() > maxLUm:
 			r.emit(ctx, d.Name, d.Loc,
-				"device %s channel length %gµm exceeds %gµm", d.Name, d.Leff(), ctx.Opt.maxL())
+				"device %s channel length %gµm exceeds %gµm", d.Name, d.Leff(), maxLUm)
 		}
 	}
 }

@@ -112,21 +112,3 @@ func (w *Waivers) Unused() []*Waiver {
 
 // Len returns the number of entries.
 func (w *Waivers) Len() int { return len(w.entries) }
-
-// KeyString renders the waiver set as a stable single-line string for
-// configuration fingerprints (the fleet cache keys on it): the match
-// patterns in entry order, without notes or line numbers, which do not
-// affect which findings are suppressed.
-func (w *Waivers) KeyString() string {
-	if w == nil || len(w.entries) == 0 {
-		return ""
-	}
-	var sb strings.Builder
-	for i, e := range w.entries {
-		if i > 0 {
-			sb.WriteByte(';')
-		}
-		fmt.Fprintf(&sb, "%s %s %s", e.Rule, e.Cell, e.Subject)
-	}
-	return sb.String()
-}

@@ -37,6 +37,7 @@ import (
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
+	"repro/internal/process"
 )
 
 // Family is the recognized logic family of a channel-connected component.
@@ -209,6 +210,31 @@ func (r *Result) IsState(id netlist.NodeID) bool {
 func (r *Result) GroupDriving(id netlist.NodeID) *Group {
 	if gi, ok := r.DriverOf[id]; ok && gi >= 0 {
 		return r.Groups[gi]
+	}
+	return nil
+}
+
+// Keeper returns the node's staticizing keeper, or nil: a PMOS from vdd
+// onto the node, gated by a non-clock net that some group drives
+// (typically the buffered output fed back). Every device on the node's
+// channel belongs to the group driving it, so only that group is
+// scanned; the first match in deck order wins.
+func (r *Result) Keeper(id netlist.NodeID) *netlist.Device {
+	g := r.GroupDriving(id)
+	if g == nil {
+		return nil
+	}
+	c := r.Circuit
+	for _, d := range g.Devices {
+		if d.Type != process.PMOS || r.IsClock(d.Gate) {
+			continue
+		}
+		if !(d.Drain == id && c.IsVdd(d.Source) || d.Source == id && c.IsVdd(d.Drain)) {
+			continue
+		}
+		if _, driven := r.DriverOf[d.Gate]; driven {
+			return d
+		}
 	}
 	return nil
 }
