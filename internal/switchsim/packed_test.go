@@ -14,6 +14,7 @@ import (
 	"repro/internal/designs"
 	"repro/internal/netlist"
 	"repro/internal/obs"
+	"repro/internal/process"
 	"repro/internal/switchsim"
 )
 
@@ -279,4 +280,91 @@ func TestPackedLaneIndependence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fuzzWidths are the channel widths generated networks draw from. At
+// unit length they give conductances 1, 2, 4 and 5 (NMOS) and 0.4, 0.8,
+// 1.6 and 2 (PMOS), so many fights land exactly on strengthRatio.
+var fuzzWidths = []float64{1, 2, 4, 5}
+
+// decodeSwitchNet turns fuzz input into a small switch network and a
+// stimulus seed. Every byte string decodes; a missing byte reads as 0.
+// The network has 1–4 input ports, 1–7 internal nodes (the bits of one
+// byte declare some of them ports) and 1–12 devices whose gate, source
+// and drain are drawn from every net, the rails included, so
+// self-loops, rail-gated and rail-to-rail devices all occur. One
+// network in eight has no vdd and one in eight no vss.
+func decodeSwitchNet(data []byte) (*netlist.Circuit, int64) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	nIn, nInt, nDev := 1+int(next()%4), 1+int(next()%7), 1+int(next()%12)
+	rails, portMask := next()%8, next()
+	c := netlist.New("fuzz")
+	var nets []string
+	for i := 0; i < nIn; i++ {
+		nets = append(nets, fmt.Sprintf("in%d", i))
+		c.DeclarePort(nets[i])
+	}
+	for i := 0; i < nInt; i++ {
+		name := fmt.Sprintf("n%d", i)
+		nets = append(nets, name)
+		if portMask>>uint(i)&1 == 1 {
+			c.DeclarePort(name)
+		} else {
+			c.Node(name)
+		}
+	}
+	if rails != 0 {
+		nets = append(nets, netlist.VddName)
+	}
+	if rails != 1 {
+		nets = append(nets, netlist.VssName)
+	}
+	for i := 0; i < nDev; i++ {
+		kind, g, s, d := next(), next(), next(), next()
+		typ := process.NMOS
+		if kind&1 == 1 {
+			typ = process.PMOS
+		}
+		w := fuzzWidths[int(kind>>1)%len(fuzzWidths)]
+		src := nets[int(s)%len(nets)]
+		// The bulk rides on the source so it never adds a rail.
+		c.AddDevice(fmt.Sprintf("m%d", i), typ, nets[int(g)%len(nets)], src, nets[int(d)%len(nets)], src, w, 1)
+	}
+	var seed int64
+	for i := 0; i < 8; i++ {
+		seed = seed<<8 | int64(next())
+	}
+	return c, seed
+}
+
+// FuzzPackedLaneEquivalence holds every lane of PackedSim to the scalar
+// oracle on generated switch networks: the corpus designs and decks are
+// well-formed circuits, so fights on exact strength ties, rail-gated
+// and self-looped devices and missing rails occur only here. The seed
+// corpus is ~1000 generator outputs, so a plain go test sweeps them all
+// (a third under -short).
+func FuzzPackedLaneEquivalence(f *testing.F) {
+	n := 1000
+	if testing.Short() {
+		n = (n + 2) / 3
+	}
+	rng := obs.NewRNG(25)
+	for i := 0; i < n; i++ {
+		buf := make([]byte, 5+4*12+8)
+		for j := range buf {
+			buf[j] = byte(rng.Uint64())
+		}
+		f.Add(buf)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, seed := decodeSwitchNet(data)
+		runPackedDiff(t, c, 8, seed)
+	})
 }
