@@ -24,14 +24,18 @@ package switchsim
 // resolution and oscillation cutoff. The packed_test.go differential
 // suite pins this against the scalar oracle across the design corpus.
 // The common kernels (rail reachability, value resolution, charge
-// sharing) run word-parallel; only strength arbitration — rare, and
-// dependent on per-lane conduction topology — falls back to per-lane
-// evaluation, batched over lane classes with identical conduction
-// patterns so symmetric lanes still pay once.
+// sharing) run word-parallel over a flat per-component device table,
+// with each device's conduction masks computed once per evaluation and
+// rail reachability found in one fused fixpoint. Only strength
+// arbitration, which depends on per-lane conduction topology, falls
+// back to per-lane evaluation, batched over lane classes with
+// identical conduction patterns so symmetric lanes still pay once. It
+// is not rare: a 40-cycle DominoAdder(16) shadow block settles 16,851
+// classes in 46,507 component evaluations, about a quarter of its
+// settle CPU, as the switchsim.strength_classes counter shows.
 
 import (
 	"math/bits"
-	"sort"
 
 	"repro/internal/netlist"
 	"repro/internal/obs"
@@ -58,27 +62,63 @@ type PackedSim struct {
 	// with per-lane values.
 	driven []bool
 
-	steps     int
-	compEvals int
-	obs       *obs.Collector
+	// tab is every component's flat device table, component by
+	// component: component ci owns tab[tabStart[ci]:tabStart[ci+1]],
+	// whose first tabInner[ci] entries join two members and whose rest
+	// join a member to a rail.
+	tab                []flatDev
+	tabStart, tabInner []int32
 
-	// Dirty-component worklist (mirrors the scalar oracle's).
-	dirty     []bool
-	dirtyList []int
-	wave      []int
+	steps           int
+	compEvals       int
+	strengthClasses int
+	obs             *obs.Collector
 
-	// Scratch planes reused across component evaluations, all indexed
-	// by node and reset per component.
-	defVdd, defVss, mayVdd, mayVss []uint64
-	newHi, newLo                   []uint64
-	floatMask, badCharge           []uint64
-	chMask                         []uint64
-	pend                           []packedPending
-	changed                        []netlist.NodeID
+	// Dirty-component worklist (mirrors the scalar oracle's): a bitset
+	// over components, so a wave reads it out in ascending order
+	// without sorting.
+	dirty  []uint64
+	nDirty int
+	wave   []int
+
+	// Scratch reused across component evaluations. cond is indexed by
+	// position in the component's table; the rest by node, written
+	// for members only.
+	cond                 []laneCond
+	reach                []reachRec
+	newHi, newLo         []uint64
+	floatMask, badCharge []uint64
+	chMask               []uint64
+	pend                 []packedPending
+	changed              []netlist.NodeID
 	// Per-lane strength fallback scratch.
 	strength []float64
 	blocked  []bool
 }
+
+// flatDev is one device of a component's flat table: all the settle
+// loop reads about a device, so it never dereferences a
+// *netlist.Device. In a rail entry a is the member terminal and b the
+// rail.
+type flatDev struct {
+	gate, a, b int32
+	pmos       bool
+	// bVdd marks a rail entry whose rail is vdd (else vss).
+	bVdd bool
+	// g is conductanceOf(the device).
+	g float64
+}
+
+// laneCond is one device's conduction in one evaluation: on holds the
+// lanes whose gate definitely turns the channel on, may those where
+// it may conduct (on plus the lanes whose gate is X).
+type laneCond struct{ on, may uint64 }
+
+// reachRec is one node's rail reachability in one evaluation, the four
+// lane masks the scalar engine computes in four passes: a definitely
+// conducting path to vdd (dv) and to vss (ds), and a possibly
+// conducting one to each (mv, ms). def ⊆ may on each side.
+type reachRec struct{ dv, ds, mv, ms uint64 }
 
 // packedPending stages one node's post-wave planes (Jacobi semantics,
 // exactly like the scalar pendingVal).
@@ -100,11 +140,8 @@ func NewPacked(c *netlist.Circuit) (*PackedSim, error) {
 		hi:        make([]uint64, n),
 		lo:        make([]uint64, n),
 		driven:    make([]bool, n),
-		dirty:     make([]bool, len(t.compDevs)),
-		defVdd:    make([]uint64, n),
-		defVss:    make([]uint64, n),
-		mayVdd:    make([]uint64, n),
-		mayVss:    make([]uint64, n),
+		dirty:     make([]uint64, (len(t.compDevs)+63)/64),
+		reach:     make([]reachRec, n),
 		newHi:     make([]uint64, n),
 		newLo:     make([]uint64, n),
 		floatMask: make([]uint64, n),
@@ -113,6 +150,7 @@ func NewPacked(c *netlist.Circuit) (*PackedSim, error) {
 		strength:  make([]float64, n),
 		blocked:   make([]bool, n),
 	}
+	p.buildTable()
 	for i := range p.hi {
 		p.hi[i] = allLanes
 		p.lo[i] = allLanes
@@ -131,11 +169,65 @@ func NewPacked(c *netlist.Circuit) (*PackedSim, error) {
 	return p, nil
 }
 
+// buildTable flattens each component's devices into the table: member
+// to member entries first, then member to rail entries. A device whose
+// source is its drain is left out, as it can neither carry a level nor
+// share charge. The order within a component is free, since every pass
+// over the table computes a fixpoint or an intersection.
+func (p *PackedSim) buildTable() {
+	p.tab = make([]flatDev, 0, len(p.c.Devices))
+	p.tabStart = make([]int32, len(p.compDevs)+1)
+	p.tabInner = make([]int32, len(p.compDevs))
+	maxDevs := 0
+	for ci, devs := range p.compDevs {
+		start := len(p.tab)
+		p.tabStart[ci] = int32(start)
+		for pass := 0; pass < 2; pass++ {
+			for _, d := range devs {
+				a, b := d.Source, d.Drain
+				if a == b {
+					continue
+				}
+				if p.c.IsSupply(a) {
+					a, b = b, a
+				}
+				if p.c.IsSupply(b) != (pass == 1) {
+					continue
+				}
+				p.tab = append(p.tab, flatDev{
+					gate: int32(d.Gate), a: int32(a), b: int32(b),
+					pmos: d.Type == process.PMOS,
+					bVdd: b == p.vdd,
+					g:    conductanceOf(d),
+				})
+			}
+			if pass == 0 {
+				p.tabInner[ci] = int32(len(p.tab) - start)
+			}
+		}
+		maxDevs = max(maxDevs, len(p.tab)-start)
+	}
+	p.tabStart[len(p.compDevs)] = int32(len(p.tab))
+	p.cond = make([]laneCond, maxDevs)
+}
+
+// table returns component ci's flat table, the conduction scratch for
+// it (valid once evalComp has filled it) and the table's
+// member-to-member prefix.
+func (p *PackedSim) table(ci int) (tab []flatDev, cond []laneCond, inner []flatDev) {
+	tab = p.tab[p.tabStart[ci]:p.tabStart[ci+1]]
+	return tab, p.cond[:len(tab)], tab[:p.tabInner[ci]]
+}
+
 // markComp queues a component for re-evaluation.
 func (p *PackedSim) markComp(ci int) {
-	if ci >= 0 && !p.dirty[ci] {
-		p.dirty[ci] = true
-		p.dirtyList = append(p.dirtyList, ci)
+	if ci < 0 {
+		return
+	}
+	w, bit := ci>>6, uint64(1)<<(uint(ci)&63)
+	if p.dirty[w]&bit == 0 {
+		p.dirty[w] |= bit
+		p.nDirty++
 	}
 }
 
@@ -244,9 +336,10 @@ func (p *PackedSim) Steps() int { return p.steps }
 func (p *PackedSim) CompEvals() int { return p.compEvals }
 
 // SetObserver attaches a telemetry collector: every Settle adds
-// switchsim.packed_settles and switchsim.lane_evals counters and keeps
-// the switchsim.lanes gauge at the lane width. A nil collector
-// detaches.
+// switchsim.packed_settles, switchsim.lane_evals and
+// switchsim.strength_classes (the lane classes it settled by per-lane
+// strength relaxation) counters and keeps the switchsim.lanes gauge at
+// the lane width. A nil collector detaches.
 func (p *PackedSim) SetObserver(c *obs.Collector) {
 	p.obs = c
 	if c != nil {
@@ -259,12 +352,13 @@ func (p *PackedSim) SetObserver(c *obs.Collector) {
 // the scalar oracle's; a wave evaluates each dirty component once
 // across every lane simultaneously.
 func (p *PackedSim) Settle() int {
-	prevEvals := p.compEvals
+	prevEvals, prevClasses := p.compEvals, p.strengthClasses
 	iters := p.settleLoop()
 	p.steps += iters
 	if p.obs != nil {
 		p.obs.Add("switchsim.packed_settles", 1)
 		p.obs.Add("switchsim.lane_evals", int64(p.compEvals-prevEvals)*Lanes)
+		p.obs.Add("switchsim.strength_classes", int64(p.strengthClasses-prevClasses))
 	}
 	return iters
 }
@@ -308,15 +402,17 @@ func (p *PackedSim) settleLoop() int {
 	}
 }
 
-// takeDirty claims the dirty set as this wave's worklist, sorted for
-// deterministic evaluation order.
+// takeDirty claims the dirty set as this wave's worklist, in ascending
+// component order for deterministic evaluation.
 func (p *PackedSim) takeDirty() []int {
-	wl := append(p.wave[:0], p.dirtyList...)
-	sort.Ints(wl)
-	for _, ci := range p.dirtyList {
-		p.dirty[ci] = false
+	wl := p.wave[:0]
+	for w := 0; p.nDirty > 0; w++ {
+		for word := p.dirty[w]; word != 0; word &= word - 1 {
+			wl = append(wl, w<<6|bits.TrailingZeros64(word))
+			p.nDirty--
+		}
+		p.dirty[w] = 0
 	}
-	p.dirtyList = p.dirtyList[:0]
 	p.wave = wl
 	return wl
 }
@@ -342,113 +438,36 @@ func (p *PackedSim) waveEval(comps []int) []netlist.NodeID {
 	return changed
 }
 
-// condOn returns the lanes in which the device's channel definitely
-// conducts (gate definitely at the on level).
-func (p *PackedSim) condOn(d *netlist.Device) uint64 {
-	gh, gl := p.hi[d.Gate], p.lo[d.Gate]
-	if d.Type == process.NMOS {
-		return gh &^ gl
-	}
-	return gl &^ gh
-}
-
-// condMaybe returns the lanes in which the channel may conduct (gate
-// at X).
-func (p *PackedSim) condMaybe(d *netlist.Device) uint64 {
-	return p.hi[d.Gate] & p.lo[d.Gate]
-}
-
-// seedMask returns the lanes a driven node seeds for one rail's
-// reachability: its definitely-at-that-level lanes, plus its X lanes
-// when includeMaybe (the scalar compReach's seeds/extra split).
-func (p *PackedSim) seedMask(id netlist.NodeID, side Value, includeMaybe bool) uint64 {
-	if side == Hi {
-		if includeMaybe {
-			return p.hi[id]
-		}
-		return p.hi[id] &^ p.lo[id]
-	}
-	if includeMaybe {
-		return p.lo[id]
-	}
-	return p.lo[id] &^ p.hi[id]
-}
-
-// propMask returns the lanes a node propagates during reachability:
-// rails propagate everything on their own side, driven nodes only
-// their seed lanes (the driver pins them — reach bits received from
-// elsewhere stop there), free nodes whatever has reached them.
-func (p *PackedSim) propMask(id, rail netlist.NodeID, side Value, includeMaybe bool, out []uint64) uint64 {
-	if p.c.IsSupply(id) {
-		if id == rail {
-			return allLanes
-		}
-		return 0
-	}
-	if p.driven[id] {
-		return p.seedMask(id, side, includeMaybe)
-	}
-	return out[id]
-}
-
-// reach computes, word-parallel, the per-lane rail reachability of the
-// component's members: out[n] gets the lanes in which n has a
-// conducting path (definite, or definite∪maybe when includeMaybe)
-// from the rail or from any driven member at the rail's level. It is
-// the lane-mask fixpoint closure of the scalar compReach BFS.
-func (p *PackedSim) reach(out []uint64, ci int, rail netlist.NodeID, side Value, includeMaybe bool) {
-	devs := p.compDevs[ci]
-	for changed := true; changed; {
-		changed = false
-		for _, d := range devs {
-			m := p.condOn(d)
-			if includeMaybe {
-				m |= p.condMaybe(d)
-			}
-			if m == 0 {
-				continue
-			}
-			a, b := d.Source, d.Drain
-			if !p.c.IsSupply(b) {
-				if nb := p.propMask(a, rail, side, includeMaybe, out) & m &^ out[b]; nb != 0 {
-					out[b] |= nb
-					changed = true
-				}
-			}
-			if !p.c.IsSupply(a) {
-				if nb := p.propMask(b, rail, side, includeMaybe, out) & m &^ out[a]; nb != 0 {
-					out[a] |= nb
-					changed = true
-				}
-			}
-		}
-	}
-}
-
 // evalComp recomputes the component's non-driven nodes across all 64
 // lanes from the current planes and stages the differences. It is the
 // word-parallel twin of the scalar evalComp: the same case analysis,
 // with each scalar branch becoming a lane mask.
 func (p *PackedSim) evalComp(ci int) {
-	nodes := p.compNodes[ci]
-	devs := p.compDevs[ci]
-	if len(devs) == 0 {
+	tab, cond, inner := p.table(ci)
+	if len(tab) == 0 {
 		return // isolated nodes just hold their charge, in every lane
 	}
-
-	p.reach(p.defVdd, ci, p.vdd, Hi, false)
-	p.reach(p.defVss, ci, p.vss, Lo, false)
-	p.reach(p.mayVdd, ci, p.vdd, Hi, true)
-	p.reach(p.mayVss, ci, p.vss, Lo, true)
+	nodes := p.compNodes[ci]
+	for k := range tab {
+		e := &tab[k]
+		gh, gl := p.hi[e.gate], p.lo[e.gate]
+		on := gh &^ gl
+		if e.pmos {
+			on = gl &^ gh
+		}
+		cond[k] = laneCond{on, on | gh&gl}
+	}
+	p.reachComp(ci)
 
 	anyFloat := uint64(0)
 	for _, nid := range nodes {
 		id := int(nid)
 		if p.driven[id] {
+			p.floatMask[id] = 0
 			continue
 		}
-		dv, ds := p.defVdd[id], p.defVss[id]
-		mv, ms := p.mayVdd[id], p.mayVss[id]
+		r := &p.reach[id]
+		dv, ds, mv, ms := r.dv, r.ds, r.mv, r.ms
 		curHi, curLo := p.hi[id], p.lo[id]
 
 		// The scalar case ladder as disjoint lane masks. def ⊆ may on
@@ -482,21 +501,18 @@ func (p *PackedSim) evalComp(ci int) {
 	// both endpoints float, the channel conducts (or may conduct) and
 	// the stored values differ; the conflict then spreads X through
 	// the lane's definitely-conducting floating island — exactly the
-	// scalar mixed/degraded island rule, one word at a time.
+	// scalar mixed/degraded island rule, one word at a time. Rails
+	// never float, so only member-to-member entries take part.
 	if anyFloat != 0 {
 		seeded := false
-		for _, d := range devs {
-			a, b := d.Source, d.Drain
-			if a == b {
-				continue
-			}
+		for k := range inner {
+			a, b := inner[k].a, inner[k].b
 			fa, fb := p.floatMask[a], p.floatMask[b]
 			if fa&fb == 0 {
 				continue
 			}
 			diff := (p.hi[a] ^ p.hi[b]) | (p.lo[a] ^ p.lo[b])
-			conflict := fa & fb & diff & (p.condOn(d) | p.condMaybe(d))
-			if conflict != 0 {
+			if conflict := fa & fb & diff & cond[k].may; conflict != 0 {
 				p.badCharge[a] |= conflict
 				p.badCharge[b] |= conflict
 				seeded = true
@@ -505,12 +521,9 @@ func (p *PackedSim) evalComp(ci int) {
 		if seeded {
 			for changed := true; changed; {
 				changed = false
-				for _, d := range devs {
-					a, b := d.Source, d.Drain
-					if a == b {
-						continue
-					}
-					m := p.condOn(d) & p.floatMask[a] & p.floatMask[b]
+				for k := range inner {
+					a, b := inner[k].a, inner[k].b
+					m := cond[k].on & p.floatMask[a] & p.floatMask[b]
 					if m == 0 {
 						continue
 					}
@@ -528,25 +541,86 @@ func (p *PackedSim) evalComp(ci int) {
 				if bad := p.badCharge[nid]; bad != 0 {
 					p.newHi[nid] |= bad
 					p.newLo[nid] |= bad
+					p.badCharge[nid] = 0
 				}
 			}
 		}
 	}
 
-	// Stage differences and reset the per-component scratch planes
-	// (supplies were never written; only members were).
+	// Stage differences.
 	for _, nid := range nodes {
 		id := int(nid)
 		if !p.driven[id] && (p.newHi[id] != p.hi[id] || p.newLo[id] != p.lo[id]) {
 			p.pend = append(p.pend, packedPending{nid, p.newHi[id], p.newLo[id]})
 		}
-		p.defVdd[id] = 0
-		p.defVss[id] = 0
-		p.mayVdd[id] = 0
-		p.mayVss[id] = 0
-		p.floatMask[id] = 0
-		p.badCharge[id] = 0
 	}
+}
+
+// reachComp computes, word-parallel, the rail reachability of every
+// member in one fused fixpoint: the lane-mask closure of the scalar
+// engine's four compReach passes (definite and possible, to vdd and to
+// vss). A driven member's record holds its seed lanes, the lanes at
+// each level (its X lanes count as possibly at both), and is never
+// written: the driver pins the node, so reach received from elsewhere
+// stops there. A rail entry's contribution cannot change during the
+// fixpoint, so it is applied once and only member-to-member entries
+// are iterated. The four systems do not interact, and a least
+// fixpoint does not depend on visit order, so each lane gets exactly
+// what four scalar passes give it.
+func (p *PackedSim) reachComp(ci int) {
+	tab, cond, inner := p.table(ci)
+	reach, driven := p.reach, p.driven
+	for _, nid := range p.compNodes[ci] {
+		if driven[nid] {
+			h, l := p.hi[nid], p.lo[nid]
+			reach[nid] = reachRec{h &^ l, l &^ h, h, l}
+		} else {
+			reach[nid] = reachRec{}
+		}
+	}
+	for k := len(inner); k < len(tab); k++ {
+		a := tab[k].a
+		if driven[a] {
+			continue
+		}
+		if r := &reach[a]; tab[k].bVdd {
+			r.dv |= cond[k].on
+			r.mv |= cond[k].may
+		} else {
+			r.ds |= cond[k].on
+			r.ms |= cond[k].may
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for k := range inner {
+			c := cond[k]
+			if c.may == 0 {
+				continue
+			}
+			a, b := inner[k].a, inner[k].b
+			ra, rb := reach[a], reach[b]
+			if !driven[b] {
+				nb := reachRec{rb.dv | ra.dv&c.on, rb.ds | ra.ds&c.on, rb.mv | ra.mv&c.may, rb.ms | ra.ms&c.may}
+				if nb != rb {
+					reach[b], rb = nb, nb
+					changed = true
+				}
+			}
+			if !driven[a] {
+				na := reachRec{ra.dv | rb.dv&c.on, ra.ds | rb.ds&c.on, ra.mv | rb.mv&c.may, ra.ms | rb.ms&c.may}
+				if na != ra {
+					reach[a] = na
+					changed = true
+				}
+			}
+		}
+	}
+}
+
+// sameBit returns the lanes whose bit in w equals lane l's.
+func sameBit(w uint64, l uint) uint64 {
+	return ^(w ^ -(w >> l & 1))
 }
 
 // resolveSpecial arbitrates the strength-dependent lanes of one node:
@@ -556,59 +630,39 @@ func (p *PackedSim) evalComp(ci int) {
 // into classes with identical per-device conduction and identical
 // driven-member values — every lane in a class provably resolves the
 // same way — and each class pays for one scalar-equivalent strength
-// relaxation. Symmetric stimulus (the common case) collapses to one or
-// two classes.
+// relaxation, counted in strengthClasses. Symmetric stimulus (the
+// common case) collapses to one or two classes.
 func (p *PackedSim) resolveSpecial(ci int, id netlist.NodeID, fight, strengthA, strengthB uint64) (hi, lo uint64) {
-	need := fight | strengthA | strengthB
-	devs := p.compDevs[ci]
+	_, cond, _ := p.table(ci)
 	nodes := p.compNodes[ci]
+	need := fight | strengthA | strengthB
 	for need != 0 {
-		l := bits.TrailingZeros64(need)
+		l := uint(bits.TrailingZeros64(need))
 		class := need
-		for _, d := range devs {
-			on, mb := p.condOn(d), p.condMaybe(d)
-			if on>>uint(l)&1 == 1 {
-				class &= on
-			} else {
-				class &= ^on
-			}
-			if mb>>uint(l)&1 == 1 {
-				class &= mb
-			} else {
-				class &= ^mb
-			}
+		for _, c := range cond {
+			class &= sameBit(c.on, l) & sameBit(c.may, l)
 		}
 		for _, nid := range nodes {
-			if !p.driven[nid] {
-				continue
-			}
-			h, lw := p.hi[nid], p.lo[nid]
-			if h>>uint(l)&1 == 1 {
-				class &= h
-			} else {
-				class &= ^h
-			}
-			if lw>>uint(l)&1 == 1 {
-				class &= lw
-			} else {
-				class &= ^lw
+			if p.driven[nid] {
+				class &= sameBit(p.hi[nid], l) & sameBit(p.lo[nid], l)
 			}
 		}
+		p.strengthClasses++
 		var v Value
 		switch {
-		case fight>>uint(l)&1 == 1:
+		case fight>>l&1 == 1:
 			v = p.laneFight(ci, id, l)
-		case strengthA>>uint(l)&1 == 1:
-			hiS := p.laneStrength(ci, id, p.vdd, l, Hi, false)
-			loS := p.laneStrength(ci, id, p.vss, l, Lo, true)
+		case strengthA>>l&1 == 1:
+			hiS := p.laneStrength(ci, id, l, Hi, false)
+			loS := p.laneStrength(ci, id, l, Lo, true)
 			if hiS >= strengthRatio*loS {
 				v = Hi
 			} else {
 				v = X
 			}
 		default:
-			loS := p.laneStrength(ci, id, p.vss, l, Lo, false)
-			hiS := p.laneStrength(ci, id, p.vdd, l, Hi, true)
+			loS := p.laneStrength(ci, id, l, Lo, false)
+			hiS := p.laneStrength(ci, id, l, Hi, true)
 			if loS >= strengthRatio*hiS {
 				v = Lo
 			} else {
@@ -629,23 +683,10 @@ func (p *PackedSim) resolveSpecial(ci int, id netlist.NodeID, fight, strengthA, 
 	return hi, lo
 }
 
-// laneConducts is the scalar conducts() evaluated in one lane.
-func (p *PackedSim) laneConducts(d *netlist.Device, lane int) conductance {
-	bit := uint64(1) << uint(lane)
-	gh, gl := p.hi[d.Gate]&bit != 0, p.lo[d.Gate]&bit != 0
-	if gh && gl {
-		return maybe
-	}
-	if (d.Type == process.NMOS && gh) || (d.Type == process.PMOS && gl) {
-		return on
-	}
-	return off
-}
-
 // laneFight is the scalar resolveFight in one lane.
-func (p *PackedSim) laneFight(ci int, id netlist.NodeID, lane int) Value {
-	hi := p.laneStrength(ci, id, p.vdd, lane, Hi, false)
-	lo := p.laneStrength(ci, id, p.vss, lane, Lo, false)
+func (p *PackedSim) laneFight(ci int, id netlist.NodeID, lane uint) Value {
+	hi := p.laneStrength(ci, id, lane, Hi, false)
+	lo := p.laneStrength(ci, id, lane, Lo, false)
 	switch {
 	case lo >= strengthRatio*hi && lo > 0:
 		return Lo
@@ -657,35 +698,23 @@ func (p *PackedSim) laneFight(ci int, id netlist.NodeID, lane int) Value {
 }
 
 // laneStrength is the scalar compStrength evaluated in one lane: the
-// widest-path conductance from id to the rail (or any driven member at
-// the rail's level; driven X members join when includeMaybe). The seed
-// classification matches the scalar call sites exactly: definite
-// passes seed only the side's level, worst-case passes add X drivers.
-func (p *PackedSim) laneStrength(ci int, id, rail netlist.NodeID, lane int, side Value, includeMaybe bool) float64 {
+// widest-path conductance from id to the side's rail (or any driven
+// member at the side's level; driven X members join when
+// includeMaybe). The seed classification matches the scalar call
+// sites exactly: definite passes seed only the side's level,
+// worst-case passes add X drivers. The opposing rail is pinned at zero
+// and the side's rail is a constant source, so a rail entry is applied
+// once and only member-to-member entries are relaxed.
+func (p *PackedSim) laneStrength(ci int, id netlist.NodeID, lane uint, side Value, includeMaybe bool) float64 {
 	const inf = 1e18
-	bit := uint64(1) << uint(lane)
+	tab, cond, inner := p.table(ci)
 	str, blocked := p.strength, p.blocked
-	nodes := p.compNodes[ci]
-	devs := p.compDevs[ci]
-	for _, nid := range nodes {
-		str[nid] = 0
-		blocked[nid] = p.driven[nid]
-	}
-	for _, r := range []netlist.NodeID{p.vdd, p.vss} {
-		if r != netlist.InvalidNode {
-			str[r] = 0
-			blocked[r] = true
-		}
-	}
-	if rail != netlist.InvalidNode {
-		str[rail] = inf
-		blocked[rail] = false
-	}
-	for _, nid := range nodes {
+	for _, nid := range p.compNodes[ci] {
+		str[nid], blocked[nid] = 0, false
 		if !p.driven[nid] {
 			continue
 		}
-		h, lw := p.hi[nid]&bit != 0, p.lo[nid]&bit != 0
+		h, lw := p.hi[nid]>>lane&1 == 1, p.lo[nid]>>lane&1 == 1
 		isSeed := false
 		switch {
 		case h && lw:
@@ -697,18 +726,29 @@ func (p *PackedSim) laneStrength(ci int, id, rail netlist.NodeID, lane int, side
 		}
 		if isSeed {
 			str[nid] = inf
-			blocked[nid] = false
+		} else {
+			blocked[nid] = true
+		}
+	}
+	bit := uint64(1) << lane
+	conducts := func(c laneCond) bool {
+		if includeMaybe {
+			return c.may&bit != 0
+		}
+		return c.on&bit != 0
+	}
+	for k := len(inner); k < len(tab); k++ {
+		if e := &tab[k]; e.bVdd == (side == Hi) && conducts(cond[k]) && e.g > str[e.a] {
+			str[e.a] = e.g
 		}
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, d := range devs {
-			c := p.laneConducts(d, lane)
-			if c == off || (c == maybe && !includeMaybe) {
+		for k := range inner {
+			if !conducts(cond[k]) {
 				continue
 			}
-			g := conductanceOf(d)
-			a, b := d.Source, d.Drain
+			g, a, b := inner[k].g, inner[k].a, inner[k].b
 			if !blocked[a] || str[a] == inf {
 				if v := min2(str[a], g); v > str[b] {
 					str[b] = v
