@@ -129,7 +129,7 @@ type LintGateError struct {
 // Error summarizes the gate failure.
 func (e *LintGateError) Error() string {
 	errs, warns, _ := e.Report.Counts()
-	return fmt.Sprintf("core: lint gate: %s has %d error-severity finding(s) (%d warning(s)); fix or waive them before verification",
+	return fmt.Sprintf("core: lint gate: %s has %d error-severity finding(s) (%d warning(s)); fix them before verification",
 		e.Design, errs, warns)
 }
 

@@ -40,6 +40,11 @@ func TestVerifyLintGateBlocksErrors(t *testing.T) {
 	if !strings.Contains(gate.Error(), "lint gate") {
 		t.Errorf("gate message = %q", gate.Error())
 	}
+	// The gate runs without waivers and no front door takes a waiver
+	// file for it, so the message must not offer one.
+	if strings.Contains(gate.Error(), "waive") {
+		t.Errorf("gate message offers a waiver: %q", gate.Error())
+	}
 }
 
 func TestVerifyLintWarningsRaiseInspectLoad(t *testing.T) {
