@@ -29,10 +29,10 @@ package switchsim
 // rail reachability found in one fused fixpoint. Only strength
 // arbitration, which depends on per-lane conduction topology, falls
 // back to per-lane evaluation, batched over lane classes with
-// identical conduction patterns so symmetric lanes still pay once. It
-// is not rare: a 40-cycle DominoAdder(16) shadow block settles 16,851
-// classes in 46,507 component evaluations, about a quarter of its
-// settle CPU, as the switchsim.strength_classes counter shows.
+// identical conduction patterns so symmetric lanes still pay once. A
+// 40-cycle DominoAdder(16) shadow block settles 16,851 classes this way
+// in 46,507 component evaluations, about a quarter of its settle CPU;
+// the switchsim.strength_classes counter reports the class count.
 
 import (
 	"math/bits"

@@ -345,11 +345,11 @@ func decodeSwitchNet(data []byte) (*netlist.Circuit, int64) {
 }
 
 // FuzzPackedLaneEquivalence holds every lane of PackedSim to the scalar
-// oracle on generated switch networks: the corpus designs and decks are
-// well-formed circuits, so fights on exact strength ties, rail-gated
-// and self-looped devices and missing rails occur only here. The seed
-// corpus is ~1000 generator outputs, so a plain go test sweeps them all
-// (a third under -short).
+// oracle on generated switch networks. The corpus designs and decks are
+// well-formed circuits; generated networks add what they lack: fights
+// that land exactly on strengthRatio, rail-gated and self-looped
+// devices, and missing rails. The seed corpus is 1000 generator
+// outputs, so a plain go test sweeps them all (a third under -short).
 func FuzzPackedLaneEquivalence(f *testing.F) {
 	n := 1000
 	if testing.Short() {
