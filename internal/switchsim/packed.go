@@ -77,9 +77,8 @@ type PackedSim struct {
 	// Dirty-component worklist (mirrors the scalar oracle's): a bitset
 	// over components, so a wave reads it out in ascending order
 	// without sorting.
-	dirty  []uint64
-	nDirty int
-	wave   []int
+	dirty []uint64
+	wave  []int
 
 	// Scratch reused across component evaluations. cond is indexed by
 	// position in the component's table; the rest by node, written
@@ -221,13 +220,8 @@ func (p *PackedSim) table(ci int) (tab []flatDev, cond []laneCond, inner []flatD
 
 // markComp queues a component for re-evaluation.
 func (p *PackedSim) markComp(ci int) {
-	if ci < 0 {
-		return
-	}
-	w, bit := ci>>6, uint64(1)<<(uint(ci)&63)
-	if p.dirty[w]&bit == 0 {
-		p.dirty[w] |= bit
-		p.nDirty++
+	if ci >= 0 {
+		p.dirty[ci>>6] |= 1 << (uint(ci) & 63)
 	}
 }
 
@@ -406,10 +400,9 @@ func (p *PackedSim) settleLoop() int {
 // component order for deterministic evaluation.
 func (p *PackedSim) takeDirty() []int {
 	wl := p.wave[:0]
-	for w := 0; p.nDirty > 0; w++ {
-		for word := p.dirty[w]; word != 0; word &= word - 1 {
+	for w, word := range p.dirty {
+		for ; word != 0; word &= word - 1 {
 			wl = append(wl, w<<6|bits.TrailingZeros64(word))
-			p.nDirty--
 		}
 		p.dirty[w] = 0
 	}
