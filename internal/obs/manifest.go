@@ -148,28 +148,25 @@ func NewManifest(tool, configKey string, c *Collector) *Manifest {
 		Gauges:     c.Gauges(),
 		Histograms: c.Histograms(),
 	}
-	if m.Counters == nil {
-		m.Counters = map[string]int64{}
-	}
-	if m.Gauges == nil {
-		m.Gauges = map[string]float64{}
-	}
-	if m.Histograms == nil {
-		m.Histograms = map[string]Histogram{}
-	}
+	m.normalize()
+	return m
+}
+
+// normalize replaces nil slices and maps with empty ones, so the
+// document always matches the schema's required array and object types.
+func (m *Manifest) normalize() {
 	if m.Items == nil {
 		m.Items = []ManifestItem{}
 	}
 	if m.Stages == nil {
 		m.Stages = []SpanInfo{}
 	}
-	return m
-}
-
-// JSON marshals the manifest in its canonical indented form, trailing
-// newline included. Nil slices and maps are normalized to empty so the
-// document always matches the schema's required array/object types.
-func (m *Manifest) JSON() ([]byte, error) {
+	if m.Counters == nil {
+		m.Counters = map[string]int64{}
+	}
+	if m.Gauges == nil {
+		m.Gauges = map[string]float64{}
+	}
 	if m.Histograms == nil {
 		m.Histograms = map[string]Histogram{}
 	}
@@ -187,7 +184,27 @@ func (m *Manifest) JSON() ([]byte, error) {
 			}
 		}
 	}
+}
+
+// JSON marshals the manifest in its canonical indented form, trailing
+// newline included: the layout of the files batch runs write. Nil
+// slices and maps are normalized to empty first.
+func (m *Manifest) JSON() ([]byte, error) {
+	m.normalize()
 	b, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
+}
+
+// CompactJSON marshals the same document as JSON on one line, trailing
+// newline included: byte for byte json.Compact of JSON's output, without
+// the indent pass. It is the daemon's wire layout, both the POST /verify
+// body and the last line of its event stream.
+func (m *Manifest) CompactJSON() ([]byte, error) {
+	m.normalize()
+	b, err := json.Marshal(m)
 	if err != nil {
 		return nil, err
 	}

@@ -7,11 +7,12 @@
 // This package turns the batch fleet into that service:
 //
 //   - POST /verify — submit a SPICE deck (request body, or ?path= when
-//     the server allows it) and get back the run manifest (the same
-//     fcv-run-manifest/v2 document `fcv verify -manifest` writes, so
-//     `fcv diff` gates HTTP results against batch runs directly), or —
-//     with ?stream=1 — the live JSONL event stream over a chunked
-//     response, ending in the manifest as its last line.
+//     the server allows it) and get back the run manifest (the
+//     fcv-run-manifest/v2 document `fcv verify -manifest` writes, in
+//     its compact one-line layout, so `fcv diff` gates HTTP results
+//     against batch runs directly), or — with ?stream=1 — the live
+//     JSONL event stream over a chunked response, ending in the same
+//     compact manifest as its last line.
 //   - GET /stats — daemon counters: requests, admissions, rejections,
 //     cache traffic, pool occupancy, request-latency quantiles, and the
 //     merged per-request obs counters.
@@ -226,8 +227,31 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Fcv-Trace", tid)
 	t0 := obs.Now()
 	rec := accessRecord{Trace: tid, Method: r.Method, Path: r.URL.Path}
+	// rep and col are set once verification has run, which makes the
+	// request a served one whatever its answer.
+	var (
+		rep *fleet.Report
+		col *obs.Collector
+		src string
+	)
 	defer func() {
+		// One duration, taken after the answer is written, is the
+		// request's latency everywhere: the access log, serve.request_ms
+		// and the slow-trace ring.
 		rec.DurMS = float64(obs.Now().Sub(t0).Microseconds()) / 1000
+		if rep != nil {
+			s.account(rep, rec.DurMS, col)
+			if s.cfg.SlowMS > 0 && rec.DurMS >= s.cfg.SlowMS {
+				s.ring.add(slowTrace{
+					Trace:    tid,
+					Src:      src,
+					Status:   rec.Status,
+					DurMS:    rec.DurMS,
+					Verdict:  rec.Verdict,
+					Rendered: col.Tree() + "\n" + col.CountersText(),
+				})
+			}
+		}
 		s.logAccess(rec)
 	}()
 	if s.draining.Load() {
@@ -292,7 +316,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	}
 	rec.Workers = got
 
-	col := obs.New()
+	col = obs.New()
 	// The trace joins the request's own collector as a volatile gauge
 	// (the numeric half of the ID; gauges never enter the stable half).
 	col.SetGauge("serve.trace_seq", float64(seq))
@@ -322,7 +346,6 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		opt.Events = sink
 	}
 
-	var rep *fleet.Report
 	if ld.lib != nil {
 		// ?hier=1: hierarchical incremental verification against the
 		// daemon's shared caches — the warm subcell replay works across
@@ -343,46 +366,27 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	} else {
 		rep = fleet.Verify(ld.items, opt)
 	}
-	elapsedMS := float64(obs.Now().Sub(t0).Microseconds()) / 1000
-	s.account(rep, elapsedMS, col)
 	m := fleet.BuildManifest("fcv serve", rep, col)
 	m.Trace = tid
+	b, err := m.CompactJSON()
 
 	p, i, v, f := rep.Counts()
 	rec.Verdict = overallVerdict(p, i, v, f)
 	rec.CacheHits, rec.CacheMisses = rep.Hits, rep.Misses
 	rec.DiskHits, rec.DiskMisses = rep.DiskHits, rep.DiskMisses
 	rec.Status = http.StatusOK
-	if s.cfg.SlowMS > 0 && elapsedMS >= s.cfg.SlowMS {
-		defer func() {
-			s.ring.add(slowTrace{
-				Trace:    tid,
-				Src:      src,
-				Status:   rec.Status,
-				DurMS:    elapsedMS,
-				Verdict:  rec.Verdict,
-				Rendered: col.Tree() + "\n" + col.CountersText(),
-			})
-		}()
-	}
 
 	if stream {
 		// All per-item scopes have closed, so a run-level trace event
 		// may follow run-end without disturbing the stream order.
 		sink.Emit("trace", tid)
 		sink.Close() // flush; write errors mean the client left
-		// The trailing manifest rides the same JSONL stream, so compact
-		// the canonical (nil-normalized) document onto one line.
-		if b, err := m.JSON(); err == nil {
-			var line bytes.Buffer
-			if json.Compact(&line, b) == nil {
-				line.WriteByte('\n')
-				fw.Write(line.Bytes())
-			}
+		// The manifest, one line long, is the stream's last line.
+		if err == nil {
+			fw.Write(b)
 		}
 		return
 	}
-	b, err := m.JSON()
 	if err != nil {
 		s.fail(w, &rec, http.StatusInternalServerError, "manifest: %v", err)
 		return

@@ -356,6 +356,35 @@ func TestStreamEventsEndInManifest(t *testing.T) {
 	}
 }
 
+// TestAnswersAreCompactManifests pins the daemon's one manifest layout:
+// the POST /verify body and the stream's last line are each the compact
+// encoding of the document they carry, one line ending in a newline.
+func TestAnswersAreCompactManifests(t *testing.T) {
+	_, hs := newTestServer(t, testConfig())
+	_, body := postDeck(t, hs.URL+"/verify?lint=1", brokenDeck)
+	_, stream := postDeck(t, hs.URL+"/verify?lint=1&stream=1", brokenDeck)
+	last := stream[bytes.LastIndexByte(stream[:len(stream)-1], '\n')+1:]
+	for _, answer := range []struct {
+		name string
+		doc  []byte
+	}{{"body", body}, {"stream's last line", last}} {
+		m, err := obs.ParseManifest(answer.doc)
+		if err != nil {
+			t.Fatalf("%s: %v", answer.name, err)
+		}
+		if len(m.Items) != 1 || len(m.Items[0].Findings) == 0 {
+			t.Fatalf("%s: items %+v, want one item with findings", answer.name, m.Items)
+		}
+		want, err := m.CompactJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(answer.doc, want) {
+			t.Errorf("%s is not the compact manifest:\n%s\nwant:\n%s", answer.name, answer.doc, want)
+		}
+	}
+}
+
 func TestCellsParamVerifiesEveryCell(t *testing.T) {
 	_, hs := newTestServer(t, testConfig())
 	deck := cleanDeck

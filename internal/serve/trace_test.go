@@ -161,6 +161,29 @@ func TestSlowTraceCapture(t *testing.T) {
 	}
 }
 
+// TestRequestLatencyIsOneDuration a served request's latency is one
+// value, taken once its answer is written: the access log's dur_ms is
+// both the serve.request_ms observation and the slow trace's duration.
+func TestRequestLatencyIsOneDuration(t *testing.T) {
+	var buf bytes.Buffer
+	cfg := testConfig()
+	cfg.AccessLog = &buf
+	cfg.SlowMS = 0.0001
+	s, hs := newTestServer(t, cfg)
+	postDeck(t, hs.URL+"/verify", cleanDeck)
+	var rec accessRecord
+	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
+		t.Fatalf("access log %q: %v", buf.Bytes(), err)
+	}
+	h := s.col.Snapshot().Histograms["serve.request_ms"]
+	if h.Count != 1 || h.Sum != rec.DurMS {
+		t.Errorf("serve.request_ms count %d sum %g, want one observation of dur_ms %g", h.Count, h.Sum, rec.DurMS)
+	}
+	if idx := s.ring.index(); len(idx) != 1 || idx[0].DurMS != rec.DurMS {
+		t.Errorf("slow traces %+v, want one of dur_ms %g", idx, rec.DurMS)
+	}
+}
+
 // TestTraceRingBounded the ring keeps only the newest max entries.
 func TestTraceRingBounded(t *testing.T) {
 	r := newTraceRing(2)
