@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -456,9 +458,17 @@ func SchemaJSON() []byte {
 // their enums, and tallies non-negative. Anything else is rejected with
 // the offending field path named. It is the `fcv manifest-check` engine.
 func ValidateManifest(data []byte) error {
+	// Numbers stay literals (json.Number), so each numeric field is
+	// checked against the text ParseManifest will decode: as a float64,
+	// math.MaxInt64 and 2^63 are the same value.
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
 	var doc map[string]any
-	if err := json.Unmarshal(data, &doc); err != nil {
+	if err := dec.Decode(&doc); err != nil {
 		return fmt.Errorf("manifest: not valid JSON: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("manifest: not valid JSON: data after the document")
 	}
 	if len(doc) == 0 {
 		return fmt.Errorf("manifest: empty document, missing required field %q", "schema")
@@ -533,7 +543,7 @@ func validateV2(doc map[string]any) error {
 			return fmt.Errorf("manifest: %s.counts: %d buckets, want %d", hctx, len(counts), len(HistBoundsMS)+1)
 		}
 		for i, v := range counts {
-			if !isType(v, "integer") || v.(float64) < 0 {
+			if !isType(v, "integer") || intValue(v) < 0 {
 				return fmt.Errorf("manifest: %s.counts[%d]: want non-negative integer", hctx, i)
 			}
 		}
@@ -547,7 +557,7 @@ func validateV2(doc map[string]any) error {
 		if err := checkObject(ctx, st, stageFields); err != nil {
 			return err
 		}
-		if st["depth"].(float64) < 0 {
+		if intValue(st["depth"]) < 0 {
 			return fmt.Errorf("manifest: %s: negative depth", ctx)
 		}
 	}
@@ -566,7 +576,7 @@ func validateV2(doc map[string]any) error {
 		return err
 	}
 	for _, f := range verdictFields {
-		if vt[f.name].(float64) < 0 {
+		if intValue(vt[f.name]) < 0 {
 			return fmt.Errorf("manifest: verdicts.%s: negative", f.name)
 		}
 	}
@@ -584,6 +594,12 @@ func ParseManifest(data []byte) (*Manifest, error) {
 		return nil, fmt.Errorf("manifest: %w", err)
 	}
 	return &m, nil
+}
+
+// intValue is the value of a field that type-checked as "integer".
+func intValue(v any) int64 {
+	n, _ := v.(json.Number).Int64()
+	return n
 }
 
 // ReadManifestFile loads and parses a manifest from disk.
@@ -633,7 +649,9 @@ func checkObjectOpt(ctx string, o map[string]any, fields, optional []manifestFie
 	return nil
 }
 
-// isType checks a decoded JSON value against a schema type name.
+// isType checks a decoded JSON value against a schema type name. A
+// number must fit a float64 and an integer an int64, as the Manifest
+// fields they decode into.
 func isType(v any, typ string) bool {
 	switch typ {
 	case "string":
@@ -643,11 +661,13 @@ func isType(v any, typ string) bool {
 		_, ok := v.(bool)
 		return ok
 	case "number":
-		_, ok := v.(float64)
-		return ok
+		n, ok := v.(json.Number)
+		_, err := n.Float64()
+		return ok && err == nil
 	case "integer":
-		f, ok := v.(float64)
-		return ok && f == float64(int64(f))
+		n, ok := v.(json.Number)
+		_, err := n.Int64()
+		return ok && err == nil
 	case "array":
 		_, ok := v.([]any)
 		return ok

@@ -119,6 +119,10 @@ func TestValidateRejects(t *testing.T) {
 		{"float counter", mutate(func(d map[string]any) {
 			d["counters"].(map[string]any)["fleet.cache.hits"] = 1.5
 		}), "counters[\"fleet.cache.hits\"]: not an integer"},
+		{"counter past int64", mutate(func(d map[string]any) {
+			d["counters"].(map[string]any)["fleet.cache.hits"] = json.Number("9223372036854775808")
+		}), "counters[\"fleet.cache.hits\"]: not an integer"},
+		{"data after the document", append(valid[:len(valid):len(valid)], "{}"...), "not valid JSON"},
 		{"unknown field", mutate(func(d map[string]any) { d["extra"] = 1 }), "unknown field"},
 		{"stale schema id", mutate(func(d map[string]any) { d["schema"] = "fcv-run-manifest/v0" }), "schema \"fcv-run-manifest/v0\", want \"fcv-run-manifest/v2\""},
 		{"bad verdict", mutate(func(d map[string]any) {

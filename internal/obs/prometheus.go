@@ -69,6 +69,11 @@ func promFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
+// promHelp escapes a HELP docstring as the text format asks: a
+// backslash as \\ and a line feed as \n, so no metric name can end the
+// comment line early.
+var promHelp = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+
 // promFamily is one metric family ready to print: the exposition name,
 // its TYPE, and the fully formatted sample lines.
 type promFamily struct {
@@ -127,7 +132,7 @@ func (s MetricsSnapshot) WritePrometheus(w io.Writer, namespace string) error {
 	}
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 	for _, f := range fams {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ); err != nil {
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, promHelp.Replace(f.help), f.name, f.typ); err != nil {
 			return err
 		}
 		for _, line := range f.samples {
