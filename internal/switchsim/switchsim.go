@@ -56,11 +56,13 @@ func Bool(b bool) Value {
 	return Lo
 }
 
-// topology is the static structure of one flat circuit shared by every
-// simulator instance over it: the channel-connected component (CCC)
-// partition, per-component devices and gate fanout. It is built once
-// and read-only afterwards, so every PackedSim over a circuit (and the
-// scalar test oracle) embeds the same structure without re-deriving it.
+// topology is the static structure of one flat circuit: the
+// channel-connected component (CCC) partition, per-component devices
+// and gate fanout. Each simulator derives its own: NewPacked (and the
+// scalar test oracle's constructor) calls newTopology, and NewPacked
+// then builds its flat device table on top, so two simulators over one
+// circuit each pay for both. A simulator only reads its topology after
+// construction.
 type topology struct {
 	c *netlist.Circuit
 	// vdd/vss node ids (may be InvalidNode if absent).
