@@ -265,7 +265,7 @@ func (r *Result) inferDominoClocks(known map[netlist.NodeID]bool, bdds []groupBD
 				// The residue must be false or keeper-only. Its
 				// satisfiability is answered on the ref; the keeper
 				// test reads the expression's variables.
-				if gb.m.Restrict(gb.refs[i].up, v, true) != logic.RefFalse &&
+				if gb.restrict(c, gb.refs[i].up, v, true) != logic.RefFalse &&
 					!r.keeperOnly(logic.Substitute(f.PullUp, v, logic.True)) {
 					continue
 				}

@@ -135,7 +135,7 @@ func (g *Group) isDynamic(c *netlist.Circuit, clocks map[netlist.NodeID]bool, gb
 		// the data (every evaluate path has a clocked foot).
 		off := gb.refs[i].down
 		for ck := range clocks {
-			off = gb.m.Restrict(off, c.NodeName(ck), false)
+			off = gb.restrict(c, off, c.NodeName(ck), false)
 		}
 		g.Footed = off == logic.RefFalse
 	}

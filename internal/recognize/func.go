@@ -2,6 +2,7 @@ package recognize
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -32,10 +33,28 @@ const maxPaths = 96
 // groupBDD is one group's BDD manager and its outputs' conduction
 // functions as refs in it: refs[i] holds the pull-up and pull-down of
 // Group.Funcs[i]. Analyze keeps one per group in a side table that is
-// dropped on return, so no BDD state is reachable from a Result.
+// dropped on return, so no BDD state is reachable from a Result. A group
+// that reuses the first group of its shape (shape.go) shares that
+// group's manager and refs, whose variables carry the first group's net
+// names; own and first then list the two groups' nets by shape-local
+// index, and restrict translates names through them.
 type groupBDD struct {
-	m    *logic.BDD
-	refs []pullRefs
+	m          *logic.BDD
+	refs       []pullRefs
+	own, first []netlist.NodeID
+}
+
+// restrict returns f with the named net fixed to val. A name that is
+// not a net of the group restricts nothing.
+func (gb *groupBDD) restrict(c *netlist.Circuit, f logic.Ref, name string, val bool) logic.Ref {
+	if gb.own != nil {
+		k := slices.IndexFunc(gb.own, func(id netlist.NodeID) bool { return c.NodeName(id) == name })
+		if k < 0 {
+			return f
+		}
+		name = c.NodeName(gb.first[k])
+	}
+	return gb.m.Restrict(f, name, val)
 }
 
 // pullRefs is one output's pull-up and pull-down.

@@ -125,6 +125,10 @@ type Group struct {
 	// Footed, for dynamic groups, reports whether the evaluate tree
 	// includes a clocked foot device in every pull-down path.
 	Footed bool
+
+	// shape is the group's shape index + 1 in the Analyze call that
+	// built it (shape.go), or 0 when the group was not keyed.
+	shape int
 }
 
 // Func returns the OutputFunc for a node, or nil.
@@ -260,6 +264,12 @@ func (r *Result) Summary() string {
 // Instances must have been flattened away (hierarchy carries no meaning
 // for recognition, per §2.1).
 func Analyze(c *netlist.Circuit) (*Result, error) {
+	return analyzeWith(c, true)
+}
+
+// analyzeWith is Analyze with the shape memo switchable, so tests can hold
+// the memo against fresh recognition of every group.
+func analyzeWith(c *netlist.Circuit, memo bool) (*Result, error) {
 	if len(c.Instances) > 0 {
 		return nil, fmt.Errorf("recognize: circuit %s has %d unflattened instances; flatten first", c.Name, len(c.Instances))
 	}
@@ -272,11 +282,17 @@ func Analyze(c *netlist.Circuit) (*Result, error) {
 	}
 	r.buildGroups(netlist.NewAdjacency(c))
 	clocks := r.identifyClocks()
-	// One BDD manager per group for this call only; see groupBDD.
+	// One BDD manager per group shape for this call only; see groupBDD.
 	bdds := make([]groupBDD, len(r.Groups))
 	w := &pathWalker{c: c}
+	var shapes *shapeMemo
+	if memo {
+		shapes = newShapeMemo(c)
+	}
 	for i, g := range r.Groups {
-		g.deriveFuncs(c, clocks, &bdds[i], w)
+		if shapes == nil || !shapes.reuse(g, clocks, bdds) {
+			g.deriveFuncs(c, clocks, &bdds[i], w)
+		}
 	}
 	// Second pass: functional inference of unnamed domino clocks. Of
 	// everything deriveFuncs computed, only Function depends on the
