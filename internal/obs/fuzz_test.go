@@ -89,6 +89,15 @@ func (g *fuzzGen) float() float64 {
 	return math.Float64frombits(g.uint64())
 }
 
+// unsigned is float with its sign dropped, −0 kept.
+func (g *fuzzGen) unsigned() float64 {
+	v := g.float()
+	if v < 0 {
+		v = -v
+	}
+	return v
+}
+
 // finite is float with NaN and ±Inf read as 0.
 func (g *fuzzGen) finite() float64 {
 	v := g.float()
@@ -137,8 +146,8 @@ func (g *fuzzGen) manifest() *Manifest {
 		Tool:      g.str(),
 		Trace:     g.str(),
 		ConfigKey: g.str(),
-		Workers:   int(g.int64()),
-		WallMS:    g.float(),
+		Workers:   int(g.natural()),
+		WallMS:    g.unsigned(),
 	}
 	m.Items = list(g, func() ManifestItem {
 		return ManifestItem{
@@ -181,7 +190,7 @@ func (g *fuzzGen) manifest() *Manifest {
 		for i := range counts {
 			counts[i] = g.natural()
 		}
-		return Histogram{Counts: counts, Sum: g.float(), Count: g.int64()}
+		return Histogram{Counts: counts, Sum: g.float(), Count: g.natural()}
 	})
 	m.Verdicts = VerdictTally{
 		Pass:      int(g.natural()),

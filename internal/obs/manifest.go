@@ -455,8 +455,10 @@ func SchemaJSON() []byte {
 // ValidateManifest checks a manifest document against its schema: all
 // required fields present with the right types, no unknown fields, the
 // schema identifier SchemaID, item verdicts and finding severities from
-// their enums, and tallies non-negative. Anything else is rejected with
-// the offending field path named. It is the `fcv manifest-check` engine.
+// their enums, and every field the schema gives minimum 0 (workers,
+// wall_ms, stage depths, histogram buckets and counts, verdict tallies)
+// non-negative. Anything else is rejected with the offending field path
+// named. It is the `fcv manifest-check` engine.
 func ValidateManifest(data []byte) error {
 	// Numbers stay literals (json.Number), so each numeric field is
 	// checked against the text ParseManifest will decode: as a float64,
@@ -487,6 +489,12 @@ func ValidateManifest(data []byte) error {
 func validateV2(doc map[string]any) error {
 	if err := checkObjectOpt("manifest", doc, manifestFields, manifestOptionalFields); err != nil {
 		return err
+	}
+	if intValue(doc["workers"]) < 0 {
+		return fmt.Errorf("manifest: workers: negative")
+	}
+	if numValue(doc["wall_ms"]) < 0 {
+		return fmt.Errorf("manifest: wall_ms: negative")
 	}
 	for i, el := range doc["items"].([]any) {
 		it, ok := el.(map[string]any)
@@ -547,6 +555,9 @@ func validateV2(doc map[string]any) error {
 				return fmt.Errorf("manifest: %s.counts[%d]: want non-negative integer", hctx, i)
 			}
 		}
+		if intValue(h["count"]) < 0 {
+			return fmt.Errorf("manifest: %s.count: negative", hctx)
+		}
 	}
 	for i, el := range doc["stages"].([]any) {
 		st, ok := el.(map[string]any)
@@ -599,6 +610,13 @@ func ParseManifest(data []byte) (*Manifest, error) {
 // intValue is the value of a field that type-checked as "integer".
 func intValue(v any) int64 {
 	n, _ := v.(json.Number).Int64()
+	return n
+}
+
+// numValue is the value of a field that type-checked as "number". A
+// literal −0 reads as −0, which is not below zero.
+func numValue(v any) float64 {
+	n, _ := v.(json.Number).Float64()
 	return n
 }
 

@@ -161,6 +161,53 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNegative pins every minimum 0 that SchemaJSON
+// declares for a field the validator reads as a number: each negative
+// value is rejected with its field path named, and −0 is accepted.
+func TestValidateRejectsNegative(t *testing.T) {
+	valid, err := sampleManifest().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := func(fn func(doc map[string]any)) []byte {
+		var d map[string]any
+		if err := json.Unmarshal(valid, &d); err != nil {
+			t.Fatal(err)
+		}
+		fn(d)
+		b, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	hist := func(d map[string]any) map[string]any {
+		return d["histograms"].(map[string]any)["fleet.item_ms"].(map[string]any)
+	}
+	cases := []struct {
+		name    string
+		set     func(d map[string]any, v json.Number)
+		wantErr string
+	}{
+		{"workers", func(d map[string]any, v json.Number) { d["workers"] = v }, "manifest: workers: negative"},
+		{"wall_ms", func(d map[string]any, v json.Number) { d["wall_ms"] = v }, "manifest: wall_ms: negative"},
+		{"histogram count", func(d map[string]any, v json.Number) { hist(d)["count"] = v }, "manifest: histograms[\"fleet.item_ms\"].count: negative"},
+	}
+	for _, tc := range cases {
+		neg := json.Number("-3")
+		if tc.name == "wall_ms" {
+			neg = "-1.5"
+		}
+		err := ValidateManifest(doc(func(d map[string]any) { tc.set(d, neg) }))
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s %s: error %v, want one mentioning %q", tc.name, neg, err, tc.wantErr)
+		}
+		if err := ValidateManifest(doc(func(d map[string]any) { tc.set(d, "-0") })); err != nil {
+			t.Errorf("%s -0: rejected: %v", tc.name, err)
+		}
+	}
+}
+
 // TestValidateRejectsV1 pins that the retired v1 wire format (no
 // histograms, no per-item findings) is rejected, by both the validator
 // and the parser, with an error naming the schema it was given.
