@@ -98,6 +98,70 @@ func benchZoo() []fleet.Item {
 	return items
 }
 
+// The lane-throughput loops clock DominoAdder(laneBits) on its precharge
+// clock laneClock and toggle laneData; laneHeld fixes every other input
+// once. With b0 high and carry-in low, a0 alone sets the carry out of
+// bit 0, and every higher bit propagates (a high, b low), so each toggle
+// ripples down the whole carry chain to cout.
+const (
+	laneBits  = 16
+	laneClock = "phi1"
+	laneData  = "a0"
+	laneSeed  = 47 // seeds the packed loop's lane pattern
+)
+
+// laneInput is one input the lane loops hold and its level.
+type laneInput struct {
+	name  string
+	level switchsim.Value
+}
+
+// laneHeld returns the adder inputs the lane loops hold fixed.
+func laneHeld() []laneInput {
+	held := []laneInput{{"b0", switchsim.Hi}, {"cin", switchsim.Lo}}
+	for i := 1; i < laneBits; i++ {
+		held = append(held,
+			laneInput{fmt.Sprintf("a%d", i), switchsim.Hi},
+			laneInput{fmt.Sprintf("b%d", i), switchsim.Lo})
+	}
+	return held
+}
+
+// newLaneAdder returns the lane loops' settled simulator, its held
+// inputs set.
+func newLaneAdder() (*switchsim.PackedSim, error) {
+	p, err := switchsim.NewPacked(designs.DominoAdder(laneBits))
+	if err != nil {
+		return nil, err
+	}
+	for _, in := range laneHeld() {
+		p.SetQuietAll(in.name, in.level)
+	}
+	p.Settle()
+	return p, nil
+}
+
+// laneEven returns pattern on even steps and its complement on odd
+// ones, so every lane toggles on every step.
+func laneEven(step int, pattern uint64) uint64 {
+	if step%2 == 1 {
+		return ^pattern
+	}
+	return pattern
+}
+
+// laneStep runs one clocked step with laneData high in the lanes set in
+// hi and low in the rest. The data changes while the clock precharges,
+// as domino inputs must: changed with the evaluate edge, a falling
+// generate would glitch the carry node low in that lane.
+func laneStep(p *switchsim.PackedSim, hi uint64) {
+	p.SetQuietAll(laneClock, switchsim.Lo)
+	p.SetQuietLanes(laneData, hi, ^hi)
+	p.Settle()
+	p.SetQuietAll(laneClock, switchsim.Hi)
+	p.Settle()
+}
+
 // bestRate calls run reps times and returns the best rate: work units
 // per second of run's wall clock. prep, when non-nil, does rep r's
 // set-up outside the timed region. Scheduling noise on a shared host
@@ -188,37 +252,27 @@ func runBench(args []string, out *os.File) error {
 	// clocked domino-adder step, first driving one vector (every lane
 	// alike), then 64 independent stimulus lanes per settle, so the
 	// packed pass counts 64 vectors where the one-lane pass counts one.
+	// Both toggle the data input in every lane on every step.
 	laneSteps := max(*cycles/50, 300)
-	packed, err := switchsim.NewPacked(designs.DominoAdder(16))
+	packed, err := newLaneAdder()
 	if err != nil {
 		return err
 	}
-	packed.Settle()
 	m.OneLaneVectorsPerSec, err = bestRate(*reps, float64(laneSteps), nil, func(int) error {
 		for i := 0; i < laneSteps; i++ {
-			packed.SetQuietAll("phi", switchsim.Lo)
-			packed.Settle()
-			packed.SetQuietAll("a0", switchsim.Bool(i%2 == 0))
-			packed.SetQuietAll("b0", switchsim.Hi)
-			packed.SetQuietAll("phi", switchsim.Hi)
-			packed.Settle()
+			laneStep(packed, laneEven(i, ^uint64(0)))
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
+	pattern := obs.NewRNG(laneSeed).Uint64()
 	m.VectorsPerSec, err = bestRate(*reps, float64(laneSteps*switchsim.Lanes),
 		func(r int) error { packed.SetObserver(first(r)); return nil },
 		func(int) error {
 			for i := 0; i < laneSteps; i++ {
-				packed.SetQuietAll("phi", switchsim.Lo)
-				packed.Settle()
-				lanes := uint64(i+1) * 0x9e3779b97f4a7c15
-				packed.SetQuietLanes("a0", lanes, ^lanes)
-				packed.SetQuietAll("b0", switchsim.Hi)
-				packed.SetQuietAll("phi", switchsim.Hi)
-				packed.Settle()
+				laneStep(packed, laneEven(i, pattern))
 			}
 			return nil
 		})

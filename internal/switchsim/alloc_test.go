@@ -18,11 +18,11 @@ func TestPackedSettleAllocs(t *testing.T) {
 	sim.Settle()
 	i := uint64(0)
 	avg := testing.AllocsPerRun(10, func() {
-		sim.SetQuietAll("phi", switchsim.Lo)
+		sim.SetQuietAll("phi1", switchsim.Lo)
 		sim.Settle()
 		sim.SetQuietLanes("a0", i*0x9e3779b97f4a7c15, ^(i * 0x9e3779b97f4a7c15))
 		sim.SetQuietAll("b0", switchsim.Hi)
-		sim.SetQuietAll("phi", switchsim.Hi)
+		sim.SetQuietAll("phi1", switchsim.Hi)
 		sim.Settle()
 		i++
 	})

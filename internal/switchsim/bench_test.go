@@ -20,11 +20,11 @@ func BenchmarkSettleKernel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.SetQuiet("phi", switchsim.Lo)
+		sim.SetQuiet("phi1", switchsim.Lo)
 		sim.Settle()
 		sim.SetQuiet("a0", switchsim.Bool(i%2 == 0))
 		sim.SetQuiet("b0", switchsim.Hi)
-		sim.SetQuiet("phi", switchsim.Hi)
+		sim.SetQuiet("phi1", switchsim.Hi)
 		sim.Settle()
 	}
 }
@@ -43,12 +43,12 @@ func BenchmarkPackedSettleKernel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.SetQuietAll("phi", switchsim.Lo)
+		sim.SetQuietAll("phi1", switchsim.Lo)
 		sim.Settle()
 		lanes := uint64(i) * 0x9e3779b97f4a7c15
 		sim.SetQuietLanes("a0", lanes, ^lanes)
 		sim.SetQuietAll("b0", switchsim.Hi)
-		sim.SetQuietAll("phi", switchsim.Hi)
+		sim.SetQuietAll("phi1", switchsim.Hi)
 		sim.Settle()
 	}
 }

@@ -253,7 +253,7 @@ func TestPackedLaneIndependence(t *testing.T) {
 	rng := obs.NewRNG(99)
 	const lane = 17
 	for step := 0; step < 6; step++ {
-		for _, port := range []string{"phi", "a0", "b0", "a1", "b1", "cin"} {
+		for _, port := range []string{"phi1", "a0", "b0", "a1", "b1", "cin"} {
 			want := switchsim.Bool(rng.Float64() < 0.5)
 			noise := rng.Uint64()
 			hi, lo := noise, ^noise
