@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/designs"
 	"repro/internal/equiv"
-	"repro/internal/fleet"
 	"repro/internal/flow"
 	"repro/internal/hier"
 	"repro/internal/netlist"
@@ -521,38 +520,38 @@ type S5Result struct {
 	Report              string
 }
 
-// S5 runs the CBV engine over the whole design zoo — through the fleet
-// driver with a fingerprint cache, exercising the chip-scale corpus
-// path — and reports the filter effectiveness (§2.3's
-// designer-inspection-load story) and the CBC comparison.
+// S5 runs the CBV engine over the whole design zoo and reports the
+// filter effectiveness (§2.3's designer-inspection-load story) and the
+// CBC comparison. The table reads stage-level detail — the battery's
+// verdict counts and the recognized groups — that a fleet result's
+// settled summary does not keep, and the five designs are all
+// distinct, so it calls core.Verify once per design.
 func S5() (*S5Result, error) {
-	items := []fleet.Item{
-		{Name: "invchain", Circuit: designs.InverterChain(12)},
-		{Name: "adder16", Circuit: designs.DominoAdder(16)},
-		{Name: "pipeline", Circuit: designs.LatchPipeline(6, false)},
-		{Name: "sram16x8", Circuit: designs.SRAMArray(16, 8, 0.09)},
-		{Name: "passmux8", Circuit: designs.PassMux(8)},
+	zoo := []struct {
+		name string
+		c    *netlist.Circuit
+	}{
+		{"invchain", designs.InverterChain(12)},
+		{"adder16", designs.DominoAdder(16)},
+		{"pipeline", designs.LatchPipeline(6, false)},
+		{"sram16x8", designs.SRAMArray(16, 8, 0.09)},
+		{"passmux8", designs.PassMux(8)},
 	}
-	frep := fleet.Verify(items, fleet.Options{
-		Core:  core.Options{Proc: process.CMOS075()},
-		Cache: fleet.NewCache(),
-	})
 	res := &S5Result{PerDesign: make(map[string]*core.Report)}
 	var sb strings.Builder
 	sb.WriteString("S5: §4.2 check battery + CBV/CBC comparison over the design zoo\n")
 	sb.WriteString("  design      groups  findings  pass%   verdict     CBC\n")
 	totalFindings, totalPass := 0, 0
-	for idx, fr := range frep.Results {
-		name, c := fr.Name, items[idx].Circuit
-		if fr.Err != nil {
-			return nil, fmt.Errorf("%s: %w", name, fr.Err)
+	for _, d := range zoo {
+		rep, err := core.Verify(d.c, core.Options{Proc: process.CMOS075()})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", d.name, err)
 		}
-		rep := fr.Report
-		res.PerDesign[name] = rep
+		res.PerDesign[d.name] = rep
 		p, i, v := rep.Checks.Counts()
 		totalFindings += p + i + v
 		totalPass += p
-		cbc, err := core.CheckCBC(c, process.CMOS075())
+		cbc, err := core.CheckCBC(d.c, process.CMOS075())
 		if err != nil {
 			return nil, err
 		}
@@ -561,7 +560,7 @@ func S5() (*S5Result, error) {
 			cbcStr = fmt.Sprintf("REJECTS %d groups", len(cbc.Rejections))
 		}
 		fmt.Fprintf(&sb, "  %-10s  %6d  %8d  %5.1f  %-10s  %s\n",
-			name, len(rep.Recognition.Groups), p+i+v,
+			d.name, len(rep.Recognition.Groups), p+i+v,
 			rep.Checks.FilterEffectiveness()*100, rep.Verdict, cbcStr)
 	}
 	if totalFindings > 0 {

@@ -51,19 +51,20 @@ type cacheEntry struct {
 	once    sync.Once
 	done    atomic.Bool
 	circuit func() (*netlist.Circuit, error)
-	sigs    *netlist.Signatures // nil: core computes the table
+	sigs    *netlist.Signatures // nil: computed on a miss
 	opt     core.Options
-	rep     *core.Report
 	err     error
 
-	// Disk-layer outcome, set inside the once when a DiskCache was
-	// attached: how the disk lookup went, how many entries the write
-	// evicted, and — on a disk hit — the stored findings (rep is then a
-	// skeleton that cannot recompute them).
+	// The settled outcome's skeleton report and normalized findings: one
+	// shape on every path, shared read-only by every result of the key.
+	rep      *core.Report
+	findings []obs.Finding
+
+	// Disk-layer traffic, set inside the once when a DiskCache was
+	// attached: how the lookup went and how many entries the write evicted.
 	disk        diskOutcome
 	diskWrote   bool
 	diskEvicted int
-	findings    []obs.Finding
 
 	// A subcell scope's composition memos, guarded by Cache.mu: its port
 	// interface and its boundary findings (nil until derived; derived
@@ -119,11 +120,11 @@ func (c *Cache) Len() int {
 // key; core then reuses it instead of refining the circuit again.
 //
 // When disk is non-nil the once body consults the persistent layer
-// first: a disk hit replays the stored outcome without running
-// core.Verify at all; a disk miss verifies fresh and stores the result
-// (errored outcomes are never persisted — a transient failure should
-// not poison future runs). Because the disk I/O happens inside the
-// once, per-key disk hit/miss counts stay singleflight-deterministic
+// first: a disk hit decodes the stored outcome without running
+// core.Verify at all; a disk miss verifies fresh and stores the settled
+// outcome (errored outcomes are never persisted — a transient failure
+// should not poison future runs). Because the disk I/O happens inside
+// the once, per-key disk hit/miss counts stay singleflight-deterministic
 // at any worker count, exactly like the memory layer's.
 func (c *Cache) verify(fp netlist.Fingerprint, cfg string, circuit func() (*netlist.Circuit, error), sigs *netlist.Signatures, opt core.Options, disk *DiskCache, looked func()) (e *cacheEntry, fresh, inflight bool) {
 	key := cacheKey{fp: fp, cfg: cfg}
@@ -138,29 +139,32 @@ func (c *Cache) verify(fp netlist.Fingerprint, cfg string, circuit func() (*netl
 	inflight = !fresh && !e.done.Load()
 	looked()
 	e.once.Do(func() {
+		var o *outcome
 		if disk != nil {
-			if ent, out := disk.load(fp, cfg); out == diskHit {
-				e.rep = ent.report()
-				e.findings = ent.Findings
-				e.disk = diskHit
-			} else {
-				e.disk = out
-			}
+			o, e.disk = disk.load(fp, cfg)
 		}
-		if e.rep == nil {
+		if o == nil {
 			var circ *netlist.Circuit
+			var rep *core.Report
 			if circ, e.err = e.circuit(); e.err == nil {
-				if e.sigs != nil {
-					e.rep, e.err = core.VerifyWithSignatures(circ, e.sigs, e.opt)
-				} else {
-					e.rep, e.err = core.Verify(circ, e.opt)
+				if e.sigs == nil {
+					e.sigs = netlist.ComputeSignatures(circ)
+				}
+				rep, e.err = core.VerifyWithSignatures(circ, e.sigs, e.opt)
+			}
+			if e.err == nil {
+				o = settle(rep)
+				if disk != nil {
+					var serr error
+					e.diskEvicted, serr = disk.store(fp, cfg, o)
+					e.diskWrote = serr == nil
 				}
 			}
-			if disk != nil && e.err == nil {
-				var serr error
-				e.diskEvicted, serr = disk.store(fp, cfg, e.rep)
-				e.diskWrote = serr == nil
-			}
+		}
+		if o != nil {
+			// Before the entry is shared, so manifests only read them.
+			obs.NormalizeFindings(o.Findings)
+			e.rep, e.findings = o.report(), o.Findings
 		}
 		e.circuit, e.sigs, e.opt = nil, nil, core.Options{} // release the inputs
 		e.done.Store(true)

@@ -100,15 +100,19 @@ func (d *DiskCache) Dir() string { return d.dir }
 // explicitly.
 func (d *DiskCache) SetMaxBytes(n int64) { d.maxBytes = n }
 
-// diskEntry is the serialized verification outcome. It stores the
-// summary the fleet's consumers read — verdict, inspect load, timing
-// numbers, provenanced findings — not the full object graph (a
-// core.Report holds the whole recognized circuit); loadReport rebuilds
-// a skeleton sufficient for report text, manifests and diffs.
+// diskEntry is one stored entry: the key fields a load checks, then the
+// embedded outcome, whose fields sit at the top level of the JSON.
 type diskEntry struct {
-	Version     string        `json:"version"`
-	Fingerprint string        `json:"fingerprint"`
-	ConfigKey   string        `json:"config_key"`
+	Version     string `json:"version"`
+	Fingerprint string `json:"fingerprint"`
+	ConfigKey   string `json:"config_key"`
+	outcome
+}
+
+// outcome is a settled verification: the summary the fleet's consumers
+// read (verdict, inspect load, timing numbers, provenanced findings),
+// not the recognized circuit a core.Report holds.
+type outcome struct {
 	Design      string        `json:"design"`
 	Verdict     int           `json:"verdict"`
 	VerdictName string        `json:"verdict_name"`
@@ -119,20 +123,32 @@ type diskEntry struct {
 	Findings    []obs.Finding `json:"findings"`
 }
 
-// report rebuilds the skeletal core.Report for a disk hit: every field
+// settle summarizes a verified report into its outcome.
+func settle(rep *core.Report) *outcome {
+	return &outcome{
+		Design:      rep.Design,
+		Verdict:     int(rep.Verdict),
+		VerdictName: rep.Verdict.String(),
+		InspectLoad: rep.InspectLoad,
+		MinPeriodPS: rep.Timing.MinPeriodPS,
+		Races:       len(rep.Timing.Races),
+		Paths:       len(rep.Timing.Paths),
+		Findings:    rep.Findings(),
+	}
+}
+
+// report rebuilds the skeletal core.Report of an outcome: every field
 // the fleet's deterministic outputs consume (Report.Text, Counts,
-// HasViolations, manifests). Stage-level detail (Recognition, Checks,
-// Lint, per-path timing) is deliberately absent — consumers needing it
-// must verify fresh, without a disk cache.
-func (e *diskEntry) report() *core.Report {
+// HasViolations, hier composition), and no stage-level detail.
+func (o *outcome) report() *core.Report {
 	return &core.Report{
-		Design:      e.Design,
-		Verdict:     checks.Verdict(e.Verdict),
-		InspectLoad: e.InspectLoad,
+		Design:      o.Design,
+		Verdict:     checks.Verdict(o.Verdict),
+		InspectLoad: o.InspectLoad,
 		Timing: &timing.Report{
-			MinPeriodPS: e.MinPeriodPS,
-			Races:       make([]timing.Path, e.Races),
-			Paths:       make([]timing.Path, e.Paths),
+			MinPeriodPS: o.MinPeriodPS,
+			Races:       make([]timing.Path, o.Races),
+			Paths:       make([]timing.Path, o.Paths),
 		},
 	}
 }
@@ -167,7 +183,7 @@ const (
 // mtime so GC's LRU ordering tracks use, not just creation. The whole
 // read-judge-evict sequence holds the entry's key lock so a concurrent
 // store or GC on the same key cannot interleave (see keyLocks).
-func (d *DiskCache) load(fp netlist.Fingerprint, cfg string) (*diskEntry, diskOutcome) {
+func (d *DiskCache) load(fp netlist.Fingerprint, cfg string) (*outcome, diskOutcome) {
 	path := d.entryPath(fp, cfg)
 	mu := d.keyLock(path)
 	mu.Lock()
@@ -197,28 +213,18 @@ func (d *DiskCache) load(fp netlist.Fingerprint, cfg string) (*diskEntry, diskOu
 	d.hits.Add(1)
 	now := obs.Now()
 	os.Chtimes(path, now, now) // best effort: LRU recency
-	return &e, diskHit
+	return &e.outcome, diskHit
 }
 
-// store persists a completed verification outcome and, when a size
-// bound is set, evicts LRU entries to honor it. Returns the eviction
-// count. Errors are advisory — a failed store leaves the cache exactly
-// as it was.
-func (d *DiskCache) store(fp netlist.Fingerprint, cfg string, rep *core.Report) (evicted int, err error) {
+// store persists a settled outcome and, when a size bound is set,
+// evicts LRU entries to honor it. Returns the eviction count. Errors
+// are advisory — a failed store leaves the cache exactly as it was.
+func (d *DiskCache) store(fp netlist.Fingerprint, cfg string, o *outcome) (evicted int, err error) {
 	e := diskEntry{
 		Version:     DiskCacheVersion,
 		Fingerprint: fp.String(),
 		ConfigKey:   cfg,
-		Design:      rep.Design,
-		Verdict:     int(rep.Verdict),
-		VerdictName: rep.Verdict.String(),
-		InspectLoad: rep.InspectLoad,
-		Findings:    rep.Findings(),
-	}
-	if rep.Timing != nil {
-		e.MinPeriodPS = rep.Timing.MinPeriodPS
-		e.Races = len(rep.Timing.Races)
-		e.Paths = len(rep.Timing.Paths)
+		outcome:     *o,
 	}
 	data, err := json.Marshal(&e)
 	if err != nil {

@@ -73,8 +73,8 @@ func TestDiskCacheConcurrentStoreLoadGC(t *testing.T) {
 	copt := coreOpts()
 	cfg := copt.Key()
 	type entry struct {
-		fp  netlist.Fingerprint
-		rep *core.Report
+		fp netlist.Fingerprint
+		o  *outcome
 	}
 	ents := make([]entry, len(items))
 	for i, it := range items {
@@ -82,7 +82,7 @@ func TestDiskCacheConcurrentStoreLoadGC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ents[i] = entry{fp: it.Circuit.Fingerprint(), rep: rep}
+		ents[i] = entry{fp: it.Circuit.Fingerprint(), o: settle(rep)}
 	}
 
 	const iters = 60
@@ -92,7 +92,7 @@ func TestDiskCacheConcurrentStoreLoadGC(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				if _, err := d.store(ents[g].fp, cfg, ents[g].rep); err != nil {
+				if _, err := d.store(ents[g].fp, cfg, ents[g].o); err != nil {
 					t.Errorf("store: %v", err)
 					return
 				}
@@ -118,7 +118,7 @@ func TestDiskCacheConcurrentStoreLoadGC(t *testing.T) {
 		t.Errorf("corrupt count = %d after churn, want 0", got)
 	}
 	// Quiescent round-trip: the cache still works.
-	if _, err := d.store(ents[0].fp, cfg, ents[0].rep); err != nil {
+	if _, err := d.store(ents[0].fp, cfg, ents[0].o); err != nil {
 		t.Fatal(err)
 	}
 	if _, out := d.load(ents[0].fp, cfg); out != diskHit {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -45,69 +46,137 @@ func entryFiles(t *testing.T, dir string) []string {
 	return out
 }
 
-// TestDiskCacheWarmVsCold is the incremental-verification contract: a
-// second run over an unchanged corpus and config replays every result
-// from disk — zero verifications, identical deterministic report text,
-// and at least 5x less wall clock than the cold run that populated it.
+// TestDiskCacheWarmVsCold is the incremental-verification contract,
+// and the one-shape contract of every cache path: a memory-warm pass
+// over the cold run's cache and a disk-warm pass on a fresh handle both
+// serve exactly what the cold run's misses did — the same findings
+// (every field), the same report text and the same manifest items —
+// and the disk-warm pass runs no verification at all. The corpora cover
+// check findings, timing races and surviving lint warnings.
 func TestDiskCacheWarmVsCold(t *testing.T) {
-	dir := t.TempDir()
-	cold, err := OpenDiskCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldObs := obs.New()
-	coldRep := Verify(diskZoo(), Options{Core: coreOpts(), DiskCache: cold, Workers: 1, Obs: coldObs})
-	if coldRep.DiskHits != 0 || coldRep.DiskMisses != len(diskZoo()) {
-		t.Fatalf("cold run: disk hits=%d misses=%d, want 0/%d", coldRep.DiskHits, coldRep.DiskMisses, len(diskZoo()))
-	}
-
-	warm, err := OpenDiskCache(dir) // fresh handle: nothing in memory
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmObs := obs.New()
-	warmRep := Verify(diskZoo(), Options{Core: coreOpts(), DiskCache: warm, Workers: 1, Obs: warmObs})
-	if warmRep.DiskHits != len(diskZoo()) || warmRep.DiskMisses != 0 {
-		t.Fatalf("warm run: disk hits=%d misses=%d, want %d/0", warmRep.DiskHits, warmRep.DiskMisses, len(diskZoo()))
-	}
-	for i, res := range warmRep.Results {
-		if !res.DiskHit {
-			t.Errorf("item %s: DiskHit=false on warm run", res.Name)
-		}
-		if got, want := res.VerdictString(), coldRep.Results[i].VerdictString(); got != want {
-			t.Errorf("item %s: warm verdict %q != cold %q", res.Name, got, want)
-		}
-	}
-	if got, want := warmRep.Text(), coldRep.Text(); got != want {
-		t.Errorf("deterministic report text differs warm vs cold:\n--- cold ---\n%s--- warm ---\n%s", want, got)
-	}
-	// Findings replay exactly (same IDs in the same order).
-	for i := range warmRep.Results {
-		cf, wf := coldRep.Results[i].Findings(), warmRep.Results[i].Findings()
-		if len(cf) != len(wf) {
-			t.Fatalf("item %s: %d findings cold, %d warm", warmRep.Results[i].Name, len(cf), len(wf))
-		}
-		for j := range cf {
-			if cf[j].ID != wf[j].ID {
-				t.Errorf("item %s finding %d: ID %q cold vs %q warm", warmRep.Results[i].Name, j, cf[j].ID, wf[j].ID)
+	lintOpts := coreOpts()
+	lintOpts.Lint = true
+	for _, tc := range []struct {
+		name   string
+		core   core.Options
+		corpus func(t *testing.T) []Item
+	}{
+		{"zoo", coreOpts(), func(*testing.T) []Item {
+			return append(diskZoo(), Item{Name: "racy6", Circuit: designs.LatchPipeline(6, true)})
+		}},
+		{"lint", lintOpts, func(t *testing.T) []Item { return append(warnItems(t), diskZoo()...) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := len(tc.corpus(t))
+			dir := t.TempDir()
+			cold, err := OpenDiskCache(dir)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			coldCache := NewCache()
+			coldObs := obs.New()
+			coldRep := Verify(tc.corpus(t), Options{Core: tc.core, Cache: coldCache, DiskCache: cold, Workers: 1, Obs: coldObs})
+			if coldRep.DiskHits != 0 || coldRep.DiskMisses != n {
+				t.Fatalf("cold run: disk hits=%d misses=%d, want 0/%d", coldRep.DiskHits, coldRep.DiskMisses, n)
+			}
+
+			memRep := Verify(tc.corpus(t), Options{Core: tc.core, Cache: coldCache, Workers: 1})
+			if memRep.Hits != n || memRep.Misses != 0 {
+				t.Fatalf("memory-warm run: hits=%d misses=%d, want %d/0", memRep.Hits, memRep.Misses, n)
+			}
+
+			warm, err := OpenDiskCache(dir) // fresh handle: nothing in memory
+			if err != nil {
+				t.Fatal(err)
+			}
+			warmObs := obs.New()
+			warmRep := Verify(tc.corpus(t), Options{Core: tc.core, DiskCache: warm, Workers: 1, Obs: warmObs})
+			if warmRep.DiskHits != n || warmRep.DiskMisses != 0 {
+				t.Fatalf("disk-warm run: disk hits=%d misses=%d, want %d/0", warmRep.DiskHits, warmRep.DiskMisses, n)
+			}
+			for i, res := range warmRep.Results {
+				if !res.DiskHit {
+					t.Errorf("item %s: DiskHit=false on the disk-warm run", res.Name)
+				}
+				if !memRep.Results[i].Cached {
+					t.Errorf("item %s: Cached=false on the memory-warm run", res.Name)
+				}
+			}
+
+			sources := map[string]bool{}
+			for i := range coldRep.Results {
+				for _, f := range coldRep.Results[i].Findings() {
+					sources[f.Source] = true
+				}
+			}
+			want := map[string]bool{"check": true, "timing": true}
+			if tc.core.Lint {
+				want = map[string]bool{"check": true, "lint": true}
+			}
+			for src := range want {
+				if !sources[src] {
+					t.Errorf("corpus raised no %s findings; the comparison has nothing to bite on", src)
+				}
+			}
+			coldItems := stableItems(t, coldRep)
+			for _, pass := range []struct {
+				label string
+				rep   *Report
+			}{{"memory-warm", memRep}, {"disk-warm", warmRep}} {
+				if got, want := pass.rep.Text(), coldRep.Text(); got != want {
+					t.Errorf("%s: report text differs from cold:\n--- cold ---\n%s--- %s ---\n%s", pass.label, want, pass.label, got)
+				}
+				for i := range pass.rep.Results {
+					cf, wf := coldRep.Results[i].Findings(), pass.rep.Results[i].Findings()
+					if !reflect.DeepEqual(cf, wf) {
+						t.Errorf("%s: item %s findings differ from cold:\ncold: %+v\n%s: %+v", pass.label, coldRep.Results[i].Name, cf, pass.label, wf)
+					}
+				}
+				if got := stableItems(t, pass.rep); got != coldItems {
+					t.Errorf("%s: manifest items differ from cold:\n--- cold ---\n%s\n--- %s ---\n%s", pass.label, coldItems, pass.label, got)
+				}
+			}
+
+			// The disk-warm run skips the whole pipeline: no core.Verify
+			// call and no recognize, checks or timing span, where the cold
+			// run has one call and one span per stage for every item.
+			if got, want := coldObs.Counter("core.verify_runs"), int64(n); got != want {
+				t.Errorf("cold run: core.verify_runs = %d, want %d", got, want)
+			}
+			if got := warmObs.Counter("core.verify_runs"); got != 0 {
+				t.Errorf("disk-warm run: core.verify_runs = %d, want 0", got)
+			}
+			if got, want := stageSpans(coldObs), 3*n; got != want {
+				t.Errorf("cold run: %d recognize/checks/timing spans, want %d", got, want)
+			}
+			if got := stageSpans(warmObs); got != 0 {
+				t.Errorf("disk-warm run: %d recognize/checks/timing spans, want 0", got)
+			}
+		})
 	}
-	// The warm run skips the whole pipeline: no core.Verify call and no
-	// recognize, checks or timing span, where the cold run has one call
-	// and one span per stage for every item.
-	if got, want := coldObs.Counter("core.verify_runs"), int64(len(diskZoo())); got != want {
-		t.Errorf("cold run: core.verify_runs = %d, want %d", got, want)
+}
+
+// stableItems encodes a run's manifest items without the fields that
+// say how each result was obtained: its wall clock and its cache flags.
+func stableItems(t *testing.T, rep *Report) string {
+	t.Helper()
+	m := BuildManifest("test", rep, nil)
+	for i := range m.Items {
+		m.Items[i].ElapsedMS = 0
+		m.Items[i].Cached = false
+		m.Items[i].DiskHit = false
 	}
-	if got := warmObs.Counter("core.verify_runs"); got != 0 {
-		t.Errorf("warm run: core.verify_runs = %d, want 0", got)
+	b, err := m.JSON()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, want := stageSpans(coldObs), 3*len(diskZoo()); got != want {
-		t.Errorf("cold run: %d recognize/checks/timing spans, want %d", got, want)
+	var doc struct {
+		Items json.RawMessage `json:"items"`
 	}
-	if got := stageSpans(warmObs); got != 0 {
-		t.Errorf("warm run: %d recognize/checks/timing spans, want 0", got)
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
 	}
+	return string(doc.Items)
 }
 
 // stageSpans counts the recognize, checks and timing spans a run
@@ -245,8 +314,8 @@ func TestDiskCacheGC(t *testing.T) {
 	for i := range paths {
 		var fp netlist.Fingerprint
 		fp[0] = byte(i + 1)
-		rep := &core.Report{Design: fmt.Sprintf("gc-entry-%d", i)}
-		if _, err := d.store(fp, "gc-fixture", rep); err != nil {
+		o := &outcome{Design: fmt.Sprintf("gc-entry-%d", i), VerdictName: "pass"}
+		if _, err := d.store(fp, "gc-fixture", o); err != nil {
 			t.Fatal(err)
 		}
 		paths[i] = d.entryPath(fp, "gc-fixture")

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -122,15 +123,16 @@ type Result struct {
 	// Cached reports the result came from the in-memory cache rather
 	// than this item's own lookup.
 	Cached bool
-	// DiskHit reports the result was replayed from the persistent disk
-	// cache (the Report is then a stored summary: verdict, inspect
-	// load, timing numbers and findings, without stage-level detail).
+	// DiskHit reports the result's entry was replayed from the persistent
+	// disk cache instead of verified; the result has the same shape.
 	DiskHit bool
-	// stored carries the disk entry's findings on a DiskHit; Findings
-	// returns them instead of recomputing from the skeleton report.
-	stored []obs.Finding
-	// Report is the CBV outcome (nil when Err is set).
+	// Report is the settled CBV outcome (nil when Err is set): one
+	// skeleton on a miss and on every hit — design, verdict, inspect
+	// load, timing numbers — shared read-only by every result of its
+	// key. A caller needing stage-level detail calls core.Verify.
 	Report *core.Report
+	// findings are the outcome's provenanced findings, shared like Report.
+	findings []obs.Finding
 	// Err is the per-item failure (recognition error, lint gate, …);
 	// one failing item does not abort the fleet.
 	Err error
@@ -184,13 +186,13 @@ func (r *Result) VerdictString() string {
 	return r.EffectiveVerdict().String()
 }
 
-// Findings returns the item's provenanced findings: the CBV report's
-// non-pass outcomes, or — for an errored item — one synthesized
-// "error/verify" finding whose stable ID is derived from the circuit's
-// structural fingerprint (so a renamed copy of a broken deck diffs as
-// the same finding). A lint-gate abort additionally surfaces the gate's
-// own diagnostics, each under its stable lint rule ID, so the manifest
-// records *why* the gate tripped, not just that it did.
+// Findings returns the item's provenanced findings, which callers must
+// not modify: the settled outcome's non-pass findings, or — for an
+// errored item — one synthesized "error/verify" finding whose stable ID
+// is derived from the circuit's structural fingerprint (so a renamed
+// copy of a broken deck diffs as the same finding). A lint-gate abort
+// additionally surfaces the gate's own diagnostics, each under its
+// stable lint rule ID, so the manifest records *why* the gate tripped.
 func (r *Result) Findings() []obs.Finding {
 	if r.Err != nil {
 		var gate *core.LintGateError
@@ -207,19 +209,10 @@ func (r *Result) Findings() []obs.Finding {
 			Evidence: obs.Evidence{Context: "verification aborted"},
 		}}
 	}
-	var base []obs.Finding
-	switch {
-	case r.stored != nil:
-		base = r.stored
-	case r.Report != nil:
-		base = r.Report.Findings()
-	}
 	if len(r.extra) == 0 {
-		return base
+		return r.findings
 	}
-	out := make([]obs.Finding, 0, len(base)+len(r.extra))
-	out = append(out, base...)
-	return append(out, r.extra...)
+	return append(slices.Clip(r.findings), r.extra...)
 }
 
 // Report is the merged outcome of a fleet run.
@@ -351,10 +344,9 @@ func Verify(items []Item, opt Options) *Report {
 					}
 					<-turn[i]
 					e, fresh, blocked := cache.verify(res.Fingerprint, cfg, circ, sigs, copt, opt.DiskCache, func() { close(turn[i+1]) })
-					res.Report, res.Err = e.rep, e.err
+					res.Report, res.findings, res.Err = e.rep, e.findings, e.err
 					res.Cached = !fresh
 					res.DiskHit = e.disk == diskHit
-					res.stored = e.findings
 					if fresh {
 						atomic.AddInt64(&misses, 1)
 						sc.Emit(obs.Event{Type: "cache-miss", Detail: res.Fingerprint.Short()})
@@ -392,8 +384,6 @@ func Verify(items []Item, opt Options) *Report {
 				res.Elapsed = obs.Now().Sub(t0)
 				sp.End()
 				if sc != nil {
-					// Findings() recomputes from the report — don't pay
-					// for it when no event stream is attached.
 					for _, f := range res.Findings() {
 						sc.Emit(obs.Event{Type: "finding", ID: f.ID, Detail: f.Check + ": " + f.Subject})
 					}

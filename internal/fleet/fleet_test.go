@@ -130,8 +130,11 @@ func TestConfigChangesInvalidate(t *testing.T) {
 	}
 
 	clocked := coreOpts()
-	clocked.Clock = rep.Results[0].Report.Clock // the resolved default
 	clocked.Proc = low.Proc
+	clocked.Clock = low.ResolvedClock() // the default, spelled out
+	if clocked.Clock.PeriodPS == 0 {
+		t.Fatal("resolved default clock is zero; the hit below would not test spelling it out")
+	}
 	rep2 := Verify(items, Options{Core: clocked, Cache: cache})
 	if rep2.Hits != 1 {
 		t.Errorf("explicitly spelling the resolved default clock should hit: hits=%d misses=%d", rep2.Hits, rep2.Misses)

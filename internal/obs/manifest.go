@@ -176,14 +176,21 @@ func (m *Manifest) normalize() {
 		if m.Items[i].Findings == nil {
 			m.Items[i].Findings = []Finding{}
 		}
-		for j := range m.Items[i].Findings {
-			ev := &m.Items[i].Findings[j].Evidence
-			if ev.Devices == nil {
-				ev.Devices = []string{}
-			}
-			if ev.Nets == nil {
-				ev.Nets = []string{}
-			}
+		NormalizeFindings(m.Items[i].Findings)
+	}
+}
+
+// NormalizeFindings replaces nil evidence lists with empty ones in
+// place. A list that manifests share must be normalized before it is
+// shared, so that their own normalize passes only read it.
+func NormalizeFindings(fs []Finding) {
+	for i := range fs {
+		ev := &fs[i].Evidence
+		if ev.Devices == nil {
+			ev.Devices = []string{}
+		}
+		if ev.Nets == nil {
+			ev.Nets = []string{}
 		}
 	}
 }
