@@ -7,6 +7,8 @@ package rtl_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -92,6 +94,30 @@ func compareRTL(t *testing.T, label string, ps *rtl.PackedSim, scalars []*rtl.Si
 	}
 }
 
+// driveRandom sets input in to seeded random planes on the packed sim
+// and each scalar sim to its lane's bits.
+func driveRandom(t *testing.T, ps *rtl.PackedSim, scalars []*rtl.Sim, in string, width int, rng *obs.RNG) {
+	t.Helper()
+	planes := make([]uint64, width)
+	for b := range planes {
+		planes[b] = rng.Uint64()
+	}
+	if err := ps.SetPlanes(in, planes); err != nil {
+		t.Fatal(err)
+	}
+	for lane, s := range scalars {
+		var v uint64
+		for b, pl := range planes {
+			if pl&(1<<uint(lane)) != 0 {
+				v |= 1 << uint(b)
+			}
+		}
+		if err := s.Set(in, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestRTLPackedLaneEquivalence(t *testing.T) {
 	for name, tc := range rtlDiffCorpus() {
 		name, tc := name, tc
@@ -113,24 +139,7 @@ func TestRTLPackedLaneEquivalence(t *testing.T) {
 			}
 			for cyc := 0; cyc < cycles; cyc++ {
 				for _, in := range tc.inputs {
-					planes := make([]uint64, widths[in])
-					for b := range planes {
-						planes[b] = rng.Uint64()
-					}
-					if err := ps.SetPlanes(in, planes); err != nil {
-						t.Fatal(err)
-					}
-					for lane, s := range scalars {
-						var v uint64
-						for b, pl := range planes {
-							if pl&(1<<uint(lane)) != 0 {
-								v |= 1 << uint(b)
-							}
-						}
-						if err := s.Set(in, v); err != nil {
-							t.Fatal(err)
-						}
-					}
+					driveRandom(t, ps, scalars, in, widths[in], rng)
 				}
 				ps.Cycle()
 				for _, s := range scalars {
@@ -140,6 +149,76 @@ func TestRTLPackedLaneEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzFCLLanes holds the FCL parser and the two RTL engines to each
+// other on generated programs: ParseString must not panic on any input,
+// and for every program that elaborates, lanes 0–3 of a PackedSim
+// driven by seeded random planes on every input must match four scalar
+// Sims fed those lanes' bits, on every signal and memory word, every
+// cycle. The seeds are examples/fcl and rtlDiffCorpus.
+func FuzzFCLLanes(f *testing.F) {
+	decks, err := filepath.Glob("../../examples/fcl/*.fcl")
+	if err != nil || len(decks) == 0 {
+		f.Fatalf("no example FCL decks (err %v)", err)
+	}
+	for _, path := range decks {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src), int64(1))
+	}
+	for _, tc := range rtlDiffCorpus() {
+		f.Add(tc.src, int64(1))
+	}
+	const lanes, cycles = 4, 4
+	f.Fuzz(func(t *testing.T, src string, seed int64) {
+		prog, err := rtl.ParseString(src)
+		if err != nil {
+			return
+		}
+		d, err := rtl.Elaborate(prog)
+		if err != nil {
+			return
+		}
+		// Keep each exec small: the parser bounds one array's depth, and
+		// a packed array holds 64 words per address.
+		words := 0
+		for _, m := range d.Mems {
+			words += m.Depth
+		}
+		for _, c := range d.Cams {
+			words += c.Depth
+		}
+		if words > 1<<12 {
+			return
+		}
+		ps, perr := rtl.NewPackedSimFromDesign(d)
+		scalars := make([]*rtl.Sim, lanes)
+		for l := range scalars {
+			var serr error
+			if scalars[l], serr = rtl.NewSimFromDesign(d); (serr == nil) != (perr == nil) {
+				t.Fatalf("engines disagree on compiling: packed %v, scalar %v", perr, serr)
+			}
+		}
+		if perr != nil {
+			return
+		}
+		rng := obs.NewRNG(seed)
+		for cyc := 0; cyc < cycles; cyc++ {
+			for _, sd := range d.Signals {
+				if sd.Kind == rtl.KindInput {
+					driveRandom(t, ps, scalars, sd.Name, sd.Width, rng)
+				}
+			}
+			ps.Cycle()
+			for _, s := range scalars {
+				s.Cycle()
+			}
+			compareRTL(t, fmt.Sprintf("cycle %d", cyc), ps, scalars)
+		}
+	})
 }
 
 // TestRTLPackedPipelineProgram runs the pipeline's real instruction

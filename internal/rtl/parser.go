@@ -65,10 +65,8 @@ func Parse(r io.Reader) (*Program, error) {
 			cur = nil
 		case "wire", "reg":
 			err = parseSignal(cur, line, lineNo)
-		case "mem":
-			err = parseMem(cur, line, lineNo)
-		case "cam":
-			err = parseCam(cur, line, lineNo)
+		case "mem", "cam":
+			err = parseArray(cur, word, line, lineNo)
 		case "assign":
 			err = parseAssign(cur, line, lineNo)
 		case "on":
@@ -193,33 +191,29 @@ func parseSignal(m *Module, line string, no int) error {
 	return nil
 }
 
-// parseMem handles "mem name depth width".
-func parseMem(m *Module, line string, no int) error {
-	fields := strings.Fields(line)
-	if len(fields) != 4 {
-		return &SyntaxError{no, "mem needs: mem name depth width"}
-	}
-	depth, err1 := strconv.Atoi(fields[2])
-	width, err2 := strconv.Atoi(fields[3])
-	if err1 != nil || err2 != nil || depth < 1 || width < 1 || width > 64 {
-		return &SyntaxError{no, "mem depth/width invalid"}
-	}
-	m.Mems = append(m.Mems, MemDecl{fields[1], depth, width})
-	return nil
-}
+// maxDepth bounds a memory's or CAM's word count, which the simulators
+// allocate up front; the largest repo design, S4's CAM, has 2048.
+const maxDepth = 1 << 16
 
-// parseCam handles "cam name depth width".
-func parseCam(m *Module, line string, no int) error {
+// parseArray handles "mem name depth width" and "cam name depth width".
+func parseArray(m *Module, kind, line string, no int) error {
 	fields := strings.Fields(line)
 	if len(fields) != 4 {
-		return &SyntaxError{no, "cam needs: cam name depth width"}
+		return &SyntaxError{no, kind + " needs: " + kind + " name depth width"}
 	}
 	depth, err1 := strconv.Atoi(fields[2])
 	width, err2 := strconv.Atoi(fields[3])
 	if err1 != nil || err2 != nil || depth < 1 || width < 1 || width > 64 {
-		return &SyntaxError{no, "cam depth/width invalid"}
+		return &SyntaxError{no, kind + " depth/width invalid"}
 	}
-	m.Cams = append(m.Cams, CamDecl{fields[1], depth, width})
+	if depth > maxDepth {
+		return &SyntaxError{no, fmt.Sprintf("%s depth %d exceeds the limit of %d", kind, depth, maxDepth)}
+	}
+	if kind == "mem" {
+		m.Mems = append(m.Mems, MemDecl{fields[1], depth, width})
+	} else {
+		m.Cams = append(m.Cams, CamDecl{fields[1], depth, width})
+	}
 	return nil
 }
 

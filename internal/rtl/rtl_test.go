@@ -1,6 +1,7 @@
 package rtl
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -377,6 +378,28 @@ func TestParserErrors(t *testing.T) {
 	se, ok := err.(*SyntaxError)
 	if !ok || se.Line != 2 {
 		t.Errorf("want SyntaxError at line 2, got %v", err)
+	}
+}
+
+// TestArrayDepthBound: a memory or CAM deeper than maxDepth is a
+// syntax error on its own line, and one exactly at the bound parses.
+func TestArrayDepthBound(t *testing.T) {
+	for _, kind := range []string{"mem", "cam"} {
+		src := func(depth int) string {
+			return fmt.Sprintf("module top(a -> b)\nassign b = a\n%s m %d 8\nendmodule\n", kind, depth)
+		}
+		_, err := ParseString(src(maxDepth + 1))
+		if se, ok := err.(*SyntaxError); !ok || se.Line != 3 || !strings.Contains(se.Msg, "exceeds the limit") {
+			t.Errorf("%s depth %d: want a SyntaxError at line 3 naming the limit, got %v", kind, maxDepth+1, err)
+		}
+		prog, err := ParseString(src(maxDepth))
+		if err != nil {
+			t.Fatalf("%s depth %d: %v", kind, maxDepth, err)
+		}
+		top := prog.Modules["top"]
+		if got := len(top.Mems) + len(top.Cams); got != 1 {
+			t.Errorf("%s depth %d: %d arrays declared, want 1", kind, maxDepth, got)
+		}
 	}
 }
 
