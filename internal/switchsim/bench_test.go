@@ -9,7 +9,9 @@ import (
 
 // BenchmarkSettleKernel measures the scalar oracle's worklist settling
 // throughput: clocked stimulus walked through the domino adder, the
-// workload whose dirty cone the worklist scheduler was built for.
+// workload whose dirty cone the worklist scheduler was built for. The
+// data changes while phi1 precharges, as domino inputs must: changed
+// with the evaluate edge, a falling a0 would glitch the carry node.
 func BenchmarkSettleKernel(b *testing.B) {
 	c := designs.DominoAdder(16)
 	sim, err := switchsim.NewScalar(c)
@@ -21,9 +23,9 @@ func BenchmarkSettleKernel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim.SetQuiet("phi1", switchsim.Lo)
-		sim.Settle()
 		sim.SetQuiet("a0", switchsim.Bool(i%2 == 0))
 		sim.SetQuiet("b0", switchsim.Hi)
+		sim.Settle()
 		sim.SetQuiet("phi1", switchsim.Hi)
 		sim.Settle()
 	}
@@ -44,10 +46,10 @@ func BenchmarkPackedSettleKernel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim.SetQuietAll("phi1", switchsim.Lo)
-		sim.Settle()
 		lanes := uint64(i) * 0x9e3779b97f4a7c15
 		sim.SetQuietLanes("a0", lanes, ^lanes)
 		sim.SetQuietAll("b0", switchsim.Hi)
+		sim.Settle()
 		sim.SetQuietAll("phi1", switchsim.Hi)
 		sim.Settle()
 	}
