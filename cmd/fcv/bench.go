@@ -12,6 +12,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/netlist"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/process"
 	"repro/internal/rtl"
 	"repro/internal/switchsim"
@@ -51,9 +52,10 @@ type BenchMetrics struct {
 	// rate (blocks x 64 lanes x LaneBlockWorkers goroutines on the S1
 	// pipeline) to a day — the paper's §4.1 farm yardstick (~2e9
 	// cycles/day across ~100 CPUs). LaneBlockWorkers is the worker count
-	// that measurement actually ran with (GOMAXPROCS clamped to the
-	// block count), so the baseline says unambiguously how much
-	// goroutine scaling the figure includes.
+	// that measurement actually ran with (par.Workers, the rule
+	// rtl.RunBlocks applies: GOMAXPROCS clamped to the block count), so
+	// the baseline says unambiguously how much goroutine scaling the
+	// figure includes.
 	CyclesPerDay     float64 `json:"cycles_per_day"`
 	LaneBlockWorkers int     `json:"lane_block_workers"`
 	// LaneBlockSpeedup divides the block-parallel rate above by the same
@@ -293,7 +295,7 @@ func runBench(args []string, out *os.File) error {
 		Seed:   9,
 		Inputs: []string{"run"},
 	}
-	m.LaneBlockWorkers = min(m.GOMAXPROCS, bcfg.Blocks)
+	m.LaneBlockWorkers = par.Workers(bcfg.Workers, bcfg.Blocks)
 	laneCyclesPerDay := float64(bcfg.Blocks) * float64(bcfg.Cycles) * rtl.Lanes * 86400
 	m.CyclesPerDay, err = bestRate(*reps, laneCyclesPerDay, nil, func(r int) error {
 		_, err := rtl.RunBlocks(pipeDesign, bcfg, first(r))

@@ -174,15 +174,17 @@ func (r *Report) Summary() string {
 type checkFunc func(rec *recognize.Result, opt *Options, sh *shared) []Finding
 
 // shared is the circuit structure the checks of one RunAll or Run call
-// read: the adjacency index and every node's load capacitance. It is
-// built once per call and dropped with it.
+// read: the adjacency index, every node's load capacitance and the
+// signature table findings are named from. It is built once per call
+// and dropped with it.
 type shared struct {
 	adj   *netlist.Adjacency
 	loads []float64
+	sigs  *netlist.Signatures
 }
 
 // prepare validates and defaults opt and builds the shared structure.
-func prepare(rec *recognize.Result, opt *Options) (*shared, error) {
+func prepare(rec *recognize.Result, sigs *netlist.Signatures, opt *Options) (*shared, error) {
 	if opt.Proc == nil {
 		return nil, fmt.Errorf("checks: missing process model")
 	}
@@ -192,6 +194,7 @@ func prepare(rec *recognize.Result, opt *Options) (*shared, error) {
 	return &shared{
 		adj:   netlist.NewAdjacency(rec.Circuit),
 		loads: netlist.NodeLoads(rec.Circuit, opt.Proc),
+		sigs:  sigs,
 	}, nil
 }
 
@@ -227,7 +230,7 @@ func CheckNames() []string {
 // RunAll executes the full battery. sigs is the signature table of
 // rec.Circuit; it names the findings (see attachProvenance).
 func RunAll(rec *recognize.Result, sigs *netlist.Signatures, opt Options) (*Report, error) {
-	sh, err := prepare(rec, &opt)
+	sh, err := prepare(rec, sigs, &opt)
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +253,7 @@ func RunAll(rec *recognize.Result, sigs *netlist.Signatures, opt Options) (*Repo
 
 // Run executes a single named check; sigs is as for RunAll.
 func Run(name string, rec *recognize.Result, sigs *netlist.Signatures, opt Options) ([]Finding, error) {
-	sh, err := prepare(rec, &opt)
+	sh, err := prepare(rec, sigs, &opt)
 	if err != nil {
 		return nil, err
 	}

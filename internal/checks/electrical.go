@@ -134,7 +134,7 @@ func checkLatch(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 	var out []Finding
 	c := rec.Circuit
 	for i, l := range rec.Latches {
-		subject := fmt.Sprintf("latch#%d(%s)", i, firstName(c, l.StateNodes))
+		subject := latchSubject(c, sh.sigs, i, l.StateNodes)
 		switch {
 		case len(l.Clocks) > 0:
 			out = append(out, Finding{
@@ -173,7 +173,7 @@ func checkWritability(rec *recognize.Result, opt *Options, sh *shared) []Finding
 	p := opt.Proc
 	c := rec.Circuit
 	for i, l := range rec.Latches {
-		subject := fmt.Sprintf("latch#%d(%s)", i, firstName(c, l.StateNodes))
+		subject := latchSubject(c, sh.sigs, i, l.StateNodes)
 		if len(l.Clocks) == 0 {
 			continue // keeper loops are written by overdrive; latch check covers them
 		}
@@ -247,10 +247,19 @@ func checkWritability(rec *recognize.Result, opt *Options, sh *shared) []Finding
 	return out
 }
 
-// firstName names the first node of a set for report subjects.
-func firstName(c *netlist.Circuit, ids []netlist.NodeID) string {
-	if len(ids) == 0 {
-		return "?"
+// latchSubject names latch i by the state node with the smallest
+// structural label. That node signs the finding ID (sigSubject), so
+// picking it by label rather than by node order keeps the ID when the
+// deck's elements are reordered.
+func latchSubject(c *netlist.Circuit, sigs *netlist.Signatures, i int, state []netlist.NodeID) string {
+	if len(state) == 0 {
+		return fmt.Sprintf("latch#%d(?)", i)
 	}
-	return c.NodeName(ids[0])
+	rep := state[0]
+	for _, n := range state[1:] {
+		if sigs.SubjectSig(c.NodeName(n)) < sigs.SubjectSig(c.NodeName(rep)) {
+			rep = n
+		}
+	}
+	return fmt.Sprintf("latch#%d(%s)", i, c.NodeName(rep))
 }

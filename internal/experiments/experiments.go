@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/checks"
 	"repro/internal/core"
@@ -18,6 +17,7 @@ import (
 	"repro/internal/hier"
 	"repro/internal/netlist"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/parasitics"
 	"repro/internal/power"
 	"repro/internal/process"
@@ -345,28 +345,23 @@ func S1() (*S1Result, error) {
 	res.CPUsAtOurRate = res.AggregateGoal / (res.CyclesPerSec * 86400)
 
 	// Goroutine fleet: independent random-stimulus sims (the paper's
-	// ~100-CPU farm, §4.1) on one host.
+	// ~100-CPU farm, §4.1) on one host, one per GOMAXPROCS.
 	res.Workers = runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
 	perWorker := 50000
 	start = obs.Now()
-	errs := make(chan error, res.Workers)
-	for w := 0; w < res.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws, err := makeSim()
-			if err != nil {
-				errs <- err
-				return
-			}
-			ws.Run(perWorker)
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		return nil, err
+	errs := make([]error, res.Workers)
+	par.Do(res.Workers, res.Workers, func(w int) {
+		ws, err := makeSim()
+		if err != nil {
+			errs[w] = err
+			return
+		}
+		ws.Run(perWorker)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	res.ParallelCyclesSec = float64(res.Workers*perWorker) / obs.Now().Sub(start).Seconds()
 

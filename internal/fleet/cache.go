@@ -61,10 +61,9 @@ type cacheEntry struct {
 	findings []obs.Finding
 
 	// Disk-layer traffic, set inside the once when a DiskCache was
-	// attached: how the lookup went and how many entries the write evicted.
-	disk        diskOutcome
-	diskWrote   bool
-	diskEvicted int
+	// attached: how the lookup went and whether the write landed.
+	disk      diskOutcome
+	diskWrote bool
 
 	// A subcell scope's composition memos, guarded by Cache.mu: its port
 	// interface and its boundary findings (nil until derived; derived
@@ -155,9 +154,7 @@ func (c *Cache) verify(fp netlist.Fingerprint, cfg string, circuit func() (*netl
 			if e.err == nil {
 				o = settle(rep)
 				if disk != nil {
-					var serr error
-					e.diskEvicted, serr = disk.store(fp, cfg, o)
-					e.diskWrote = serr == nil
+					e.diskWrote = disk.store(fp, cfg, o) == nil
 				}
 			}
 		}

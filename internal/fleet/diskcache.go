@@ -9,7 +9,8 @@
 // its fingerprint, a changed process model or lint setup moves the
 // config key, and a new cache format version orphans every old entry.
 // Stale entries are never looked up again and are reclaimed by the
-// size-bounded LRU GC, not by any explicit invalidation step.
+// LRU GC (`fcv cache gc -max-bytes`), not by any explicit invalidation
+// step.
 //
 // Robustness contract: a cache directory is advisory state. Loads
 // tolerate truncated, corrupt, mismatched or concurrently-rewritten
@@ -51,8 +52,7 @@ const DiskCacheVersion = "fcv-diskcache/v1"
 // processes sharing the directory. The zero value is not usable;
 // construct with OpenDiskCache.
 type DiskCache struct {
-	dir      string
-	maxBytes int64 // automatic post-write GC threshold; 0 = unbounded
+	dir string
 
 	// Lifetime tallies (since open), surfaced by Stats and `fcv cache`.
 	hits, misses, writes, evicts, corrupts atomic.Int64
@@ -61,12 +61,11 @@ type DiskCache struct {
 
 	// keyLocks stripe per-entry serialization across load, store and GC
 	// removal — the disk layer's analogue of the memory cache's per-key
-	// once. Without it a long-lived daemon and a GC (its own post-write
-	// bound, or `fcv cache gc` logic running in-process) can interleave
-	// on one entry: GC's Remove lands on a file a store just refreshed
-	// (evicting the *newest* entry), or load's corrupt-eviction Remove
-	// deletes a valid entry a concurrent store re-wrote after load read
-	// the stale bytes. Striped by path hash; collisions only add
+	// once. Without it loads, stores and a GC in the same process can
+	// interleave on one entry: GC's Remove lands on a file a store just
+	// refreshed (evicting the *newest* entry), or load's corrupt-eviction
+	// Remove deletes a valid entry a concurrent store re-wrote after load
+	// read the stale bytes. Striped by path hash; collisions only add
 	// serialization, never unsafety.
 	keyLocks [64]sync.Mutex
 }
@@ -94,12 +93,6 @@ func OpenDiskCache(dir string) (*DiskCache, error) {
 // Dir returns the cache's root directory.
 func (d *DiskCache) Dir() string { return d.dir }
 
-// SetMaxBytes bounds the cache: after every write exceeding the bound,
-// least-recently-used entries are evicted until the total fits. Zero
-// (the default) disables automatic eviction; GC can still be invoked
-// explicitly.
-func (d *DiskCache) SetMaxBytes(n int64) { d.maxBytes = n }
-
 // diskEntry is one stored entry: the key fields a load checks, then the
 // embedded outcome, whose fields sit at the top level of the JSON.
 type diskEntry struct {
@@ -119,7 +112,6 @@ type outcome struct {
 	InspectLoad int           `json:"inspect_load"`
 	MinPeriodPS float64       `json:"min_period_ps"`
 	Races       int           `json:"races"`
-	Paths       int           `json:"paths"`
 	Findings    []obs.Finding `json:"findings"`
 }
 
@@ -132,7 +124,6 @@ func settle(rep *core.Report) *outcome {
 		InspectLoad: rep.InspectLoad,
 		MinPeriodPS: rep.Timing.MinPeriodPS,
 		Races:       len(rep.Timing.Races),
-		Paths:       len(rep.Timing.Paths),
 		Findings:    rep.Findings(),
 	}
 }
@@ -148,7 +139,6 @@ func (o *outcome) report() *core.Report {
 		Timing: &timing.Report{
 			MinPeriodPS: o.MinPeriodPS,
 			Races:       make([]timing.Path, o.Races),
-			Paths:       make([]timing.Path, o.Paths),
 		},
 	}
 }
@@ -216,10 +206,9 @@ func (d *DiskCache) load(fp netlist.Fingerprint, cfg string) (*outcome, diskOutc
 	return &e.outcome, diskHit
 }
 
-// store persists a settled outcome and, when a size bound is set,
-// evicts LRU entries to honor it. Returns the eviction count. Errors
-// are advisory — a failed store leaves the cache exactly as it was.
-func (d *DiskCache) store(fp netlist.Fingerprint, cfg string, o *outcome) (evicted int, err error) {
+// store persists a settled outcome. Errors are advisory — a failed
+// store leaves the cache exactly as it was.
+func (d *DiskCache) store(fp netlist.Fingerprint, cfg string, o *outcome) error {
 	e := diskEntry{
 		Version:     DiskCacheVersion,
 		Fingerprint: fp.String(),
@@ -228,27 +217,23 @@ func (d *DiskCache) store(fp netlist.Fingerprint, cfg string, o *outcome) (evict
 	}
 	data, err := json.Marshal(&e)
 	if err != nil {
-		return 0, fmt.Errorf("fleet: disk cache marshal: %w", err)
+		return fmt.Errorf("fleet: disk cache marshal: %w", err)
 	}
 	path := d.entryPath(fp, cfg)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return 0, fmt.Errorf("fleet: disk cache store: %w", err)
+		return fmt.Errorf("fleet: disk cache store: %w", err)
 	}
-	// The write holds the key lock (released before the post-write GC,
-	// which takes key locks itself) so a concurrent load or GC removal
-	// of this entry serializes against it.
+	// The write holds the key lock so a concurrent load or GC removal of
+	// this entry serializes against it.
 	mu := d.keyLock(path)
 	mu.Lock()
 	err = obs.WriteFileAtomic(path, data)
 	mu.Unlock()
 	if err != nil {
-		return 0, fmt.Errorf("fleet: disk cache store: %w", err)
+		return fmt.Errorf("fleet: disk cache store: %w", err)
 	}
 	d.writes.Add(1)
-	if d.maxBytes > 0 {
-		evicted, _, _ = d.GC(d.maxBytes)
-	}
-	return evicted, nil
+	return nil
 }
 
 // diskFile is one entry in a GC/Stats scan.

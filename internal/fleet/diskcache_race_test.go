@@ -92,7 +92,7 @@ func TestDiskCacheConcurrentStoreLoadGC(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				if _, err := d.store(ents[g].fp, cfg, ents[g].o); err != nil {
+				if err := d.store(ents[g].fp, cfg, ents[g].o); err != nil {
 					t.Errorf("store: %v", err)
 					return
 				}
@@ -118,7 +118,7 @@ func TestDiskCacheConcurrentStoreLoadGC(t *testing.T) {
 		t.Errorf("corrupt count = %d after churn, want 0", got)
 	}
 	// Quiescent round-trip: the cache still works.
-	if _, err := d.store(ents[0].fp, cfg, ents[0].o); err != nil {
+	if err := d.store(ents[0].fp, cfg, ents[0].o); err != nil {
 		t.Fatal(err)
 	}
 	if _, out := d.load(ents[0].fp, cfg); out != diskHit {

@@ -24,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/pprof"
 	"slices"
 	"strings"
@@ -36,6 +35,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/netlist"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // Item is one unit of fleet work: a named flat circuit.
@@ -238,22 +238,13 @@ type Report struct {
 	ConfigKey string
 }
 
-// Verify runs the CBV pipeline over every item with a bounded worker
-// pool. The returned report's Results preserve input order, and its
-// Text() is byte-identical for a given corpus and configuration no
-// matter the worker count — caching and scheduling only change timing
-// fields, never outcomes.
+// Verify runs the CBV pipeline over every item on par's worker pool.
+// The returned report's Results preserve input order, and its Text() is
+// byte-identical for a given corpus and configuration no matter the
+// worker count — caching and scheduling only change timing fields,
+// never outcomes.
 func Verify(items []Item, opt Options) *Report {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(items) {
-		workers = len(items)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := par.Workers(opt.Workers, len(items))
 	rep := &Report{
 		Results: make([]Result, len(items)),
 		Workers: workers,
@@ -293,117 +284,105 @@ func Verify(items []Item, opt Options) *Report {
 	// skipped. Of items sharing a key, the lowest-index one therefore
 	// always creates the entry — the run's miss, which carries the
 	// stage spans and disk outcome — whatever order the scheduler runs
-	// workers in. Only lookups are ordered; verifications overlap.
+	// workers in. Only lookups are ordered; verifications overlap. The
+	// chain cannot stall: par.Do hands items out in increasing order, so
+	// item i-1 is already held by a worker that will close turn[i].
 	turn := make([]chan struct{}, len(items)+1)
 	for i := range turn {
 		turn[i] = make(chan struct{})
 	}
 	close(turn[0])
 	var hits, misses, inflight, busyNS int64
-	var dHits, dMisses, dCorrupt, dWrites, dEvicted int64
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				it := items[i]
-				sp := spans[i]
-				sc := scopes[i]
-				wait := sp.Restart()
-				sc.Emit(obs.Event{Type: "item-start"})
-				res := Result{Name: it.Name}
-				t0 := obs.Now()
-				copt := opt.Core
-				copt.Trace = sp
-				copt.Events = sc
-				copt.PprofLabels = opt.PprofLabels
-				circ := func() (*netlist.Circuit, error) { return it.Circuit, nil }
-				if it.Circuit == nil && it.Lazy != nil {
-					// OnceValues upholds Lazy's at-most-once contract even
-					// when Key is zero and the fingerprint path calls circ
-					// before the cache does again.
-					circ = sync.OnceValues(it.Lazy)
-				}
-				work := func() {
-					res.Fingerprint = it.Key
-					// A keyless item is refined once, here: the table gives
-					// the key, and a miss hands it on to core.
-					var sigs *netlist.Signatures
-					if res.Fingerprint == (netlist.Fingerprint{}) {
-						c, err := circ()
-						if err != nil {
-							res.Err = err
-							<-turn[i]
-							close(turn[i+1])
-							return
-						}
-						sigs = netlist.ComputeSignatures(c)
-						res.Fingerprint = sigs.Fingerprint()
-					}
+	var dHits, dMisses, dCorrupt, dWrites int64
+	par.Do(len(items), workers, func(i int) {
+		it := items[i]
+		sp := spans[i]
+		sc := scopes[i]
+		wait := sp.Restart()
+		sc.Emit(obs.Event{Type: "item-start"})
+		res := Result{Name: it.Name}
+		t0 := obs.Now()
+		copt := opt.Core
+		copt.Trace = sp
+		copt.Events = sc
+		copt.PprofLabels = opt.PprofLabels
+		circ := func() (*netlist.Circuit, error) { return it.Circuit, nil }
+		if it.Circuit == nil && it.Lazy != nil {
+			// OnceValues upholds Lazy's at-most-once contract even
+			// when Key is zero and the fingerprint path calls circ
+			// before the cache does again.
+			circ = sync.OnceValues(it.Lazy)
+		}
+		work := func() {
+			res.Fingerprint = it.Key
+			// A keyless item is refined once, here: the table gives
+			// the key, and a miss hands it on to core.
+			var sigs *netlist.Signatures
+			if res.Fingerprint == (netlist.Fingerprint{}) {
+				c, err := circ()
+				if err != nil {
+					res.Err = err
 					<-turn[i]
-					e, fresh, blocked := cache.verify(res.Fingerprint, cfg, circ, sigs, copt, opt.DiskCache, func() { close(turn[i+1]) })
-					res.Report, res.findings, res.Err = e.rep, e.findings, e.err
-					res.Cached = !fresh
-					res.DiskHit = e.disk == diskHit
-					if fresh {
-						atomic.AddInt64(&misses, 1)
-						sc.Emit(obs.Event{Type: "cache-miss", Detail: res.Fingerprint.Short()})
-						// The disk outcome belongs to the fresh caller —
-						// the one whose lookup ran the once.
-						switch e.disk {
-						case diskHit:
-							atomic.AddInt64(&dHits, 1)
-							sc.Emit(obs.Event{Type: "disk-hit", Detail: res.Fingerprint.Short()})
-						case diskMiss:
-							atomic.AddInt64(&dMisses, 1)
-							sc.Emit(obs.Event{Type: "disk-miss", Detail: res.Fingerprint.Short()})
-						case diskCorrupt:
-							atomic.AddInt64(&dMisses, 1)
-							atomic.AddInt64(&dCorrupt, 1)
-							sc.Emit(obs.Event{Type: "disk-corrupt", Detail: res.Fingerprint.Short()})
-						}
-						if e.diskWrote {
-							atomic.AddInt64(&dWrites, 1)
-						}
-						atomic.AddInt64(&dEvicted, int64(e.diskEvicted))
-					} else {
-						atomic.AddInt64(&hits, 1)
-						sc.Emit(obs.Event{Type: "cache-hit", Detail: res.Fingerprint.Short()})
-					}
-					if blocked {
-						atomic.AddInt64(&inflight, 1)
-					}
+					close(turn[i+1])
+					return
 				}
-				if opt.PprofLabels {
-					pprof.Do(context.Background(), pprof.Labels("fcv_cell", it.Name), func(context.Context) { work() })
-				} else {
-					work()
-				}
-				res.Elapsed = obs.Now().Sub(t0)
-				sp.End()
-				if sc != nil {
-					for _, f := range res.Findings() {
-						sc.Emit(obs.Event{Type: "finding", ID: f.ID, Detail: f.Check + ": " + f.Subject})
-					}
-				}
-				sc.Emit(obs.Event{Type: "item-end", Detail: res.VerdictString()})
-				sc.Close()
-				if opt.Obs != nil {
-					atomic.AddInt64(&busyNS, int64(res.Elapsed))
-					opt.Obs.AddGauge("fleet.queue_wait_ms", float64(wait.Microseconds())/1000)
-					opt.Obs.Observe("fleet.item_ms", float64(res.Elapsed.Microseconds())/1000)
-				}
-				rep.Results[i] = res
+				sigs = netlist.ComputeSignatures(c)
+				res.Fingerprint = sigs.Fingerprint()
 			}
-		}()
-	}
-	for i := range items {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+			<-turn[i]
+			e, fresh, blocked := cache.verify(res.Fingerprint, cfg, circ, sigs, copt, opt.DiskCache, func() { close(turn[i+1]) })
+			res.Report, res.findings, res.Err = e.rep, e.findings, e.err
+			res.Cached = !fresh
+			res.DiskHit = e.disk == diskHit
+			if fresh {
+				atomic.AddInt64(&misses, 1)
+				sc.Emit(obs.Event{Type: "cache-miss", Detail: res.Fingerprint.Short()})
+				// The disk outcome belongs to the fresh caller —
+				// the one whose lookup ran the once.
+				switch e.disk {
+				case diskHit:
+					atomic.AddInt64(&dHits, 1)
+					sc.Emit(obs.Event{Type: "disk-hit", Detail: res.Fingerprint.Short()})
+				case diskMiss:
+					atomic.AddInt64(&dMisses, 1)
+					sc.Emit(obs.Event{Type: "disk-miss", Detail: res.Fingerprint.Short()})
+				case diskCorrupt:
+					atomic.AddInt64(&dMisses, 1)
+					atomic.AddInt64(&dCorrupt, 1)
+					sc.Emit(obs.Event{Type: "disk-corrupt", Detail: res.Fingerprint.Short()})
+				}
+				if e.diskWrote {
+					atomic.AddInt64(&dWrites, 1)
+				}
+			} else {
+				atomic.AddInt64(&hits, 1)
+				sc.Emit(obs.Event{Type: "cache-hit", Detail: res.Fingerprint.Short()})
+			}
+			if blocked {
+				atomic.AddInt64(&inflight, 1)
+			}
+		}
+		if opt.PprofLabels {
+			pprof.Do(context.Background(), pprof.Labels("fcv_cell", it.Name), func(context.Context) { work() })
+		} else {
+			work()
+		}
+		res.Elapsed = obs.Now().Sub(t0)
+		sp.End()
+		if sc != nil {
+			for _, f := range res.Findings() {
+				sc.Emit(obs.Event{Type: "finding", ID: f.ID, Detail: f.Check + ": " + f.Subject})
+			}
+		}
+		sc.Emit(obs.Event{Type: "item-end", Detail: res.VerdictString()})
+		sc.Close()
+		if opt.Obs != nil {
+			atomic.AddInt64(&busyNS, int64(res.Elapsed))
+			opt.Obs.AddGauge("fleet.queue_wait_ms", float64(wait.Microseconds())/1000)
+			opt.Obs.Observe("fleet.item_ms", float64(res.Elapsed.Microseconds())/1000)
+		}
+		rep.Results[i] = res
+	})
 	rep.Hits, rep.Misses = int(hits), int(misses)
 	rep.DiskHits, rep.DiskMisses, rep.DiskCorrupt = int(dHits), int(dMisses), int(dCorrupt)
 	rep.Elapsed = obs.Now().Sub(start)
@@ -425,7 +404,6 @@ func Verify(items []Item, opt Options) *Report {
 			opt.Obs.Add("fleet.diskcache.miss", int64(dMisses))
 			opt.Obs.Add("fleet.diskcache.corrupt", int64(dCorrupt))
 			opt.Obs.Add("fleet.diskcache.write", dWrites)
-			opt.Obs.Add("fleet.diskcache.evict", int64(dEvicted))
 		}
 		opt.Obs.SetGauge("fleet.cache.inflight", float64(inflight))
 		opt.Obs.SetGauge("fleet.workers", float64(workers))

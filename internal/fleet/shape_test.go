@@ -1,6 +1,9 @@
 package fleet
 
 import (
+	"encoding/json"
+	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -76,7 +79,7 @@ func TestConcurrentManifestsShareEntry(t *testing.T) {
 // after a miss, a memory hit and a disk hit, flat and hierarchical, every
 // entry's report — which every result of its key carries — is the
 // settled skeleton, holding no recognized circuit, check or lint report,
-// or analyzed circuit.
+// analyzed circuit or timing paths.
 func TestSettledEntriesKeepNoStageDetail(t *testing.T) {
 	lintOpts := coreOpts()
 	lintOpts.Lint = true
@@ -159,6 +162,59 @@ func stageDetail(rep *core.Report) string {
 		return "no Timing"
 	case rep.Timing.Circuit != nil:
 		return "Timing.Circuit"
+	case rep.Timing.Paths != nil:
+		return "Timing.Paths"
 	}
 	return ""
+}
+
+// TestDiskEntryWithPathsLoads: an entry that still carries the "paths"
+// count older entries stored loads as a disk hit, and replays the same
+// outcome as the miss that wrote it.
+func TestDiskEntryWithPathsLoads(t *testing.T) {
+	items := []Item{{Name: "adder16", Circuit: designs.DominoAdder(16)}}
+	dir := t.TempDir()
+	d, err := OpenDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	miss := Verify(items, Options{Core: coreOpts(), DiskCache: d})
+	if miss.DiskMisses != 1 || miss.Results[0].Err != nil {
+		t.Fatalf("first run: disk misses=%d, err=%v", miss.DiskMisses, miss.Results[0].Err)
+	}
+	files := entryFiles(t, dir)
+	if len(files) != 1 {
+		t.Fatalf("%d entry files, want 1", len(files))
+	}
+	data, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entry map[string]any
+	if err := json.Unmarshal(data, &entry); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := entry["paths"]; ok {
+		t.Fatal(`a new entry still stores "paths"`)
+	}
+	entry["paths"] = 32
+	if data, err = json.Marshal(entry); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(files[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hit := Verify(items, Options{Core: coreOpts(), DiskCache: d})
+	if hit.DiskHits != 1 || hit.DiskCorrupt != 0 {
+		t.Fatalf("fixture entry: disk hits=%d corrupt=%d, want 1/0", hit.DiskHits, hit.DiskCorrupt)
+	}
+	if got, want := hit.Text(), miss.Text(); got != want {
+		t.Errorf("fixture entry replays\n%s\nthe miss reported\n%s", got, want)
+	}
+	if got, want := hit.Results[0].Findings(), miss.Results[0].Findings(); !reflect.DeepEqual(got, want) {
+		t.Errorf("fixture entry replays %d findings, the miss reported %d", len(got), len(want))
+	}
+	if detail := stageDetail(hit.Results[0].Report); detail != "" {
+		t.Errorf("fixture entry's report keeps %s", detail)
+	}
 }

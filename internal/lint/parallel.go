@@ -2,11 +2,10 @@ package lint
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/netlist"
+	"repro/internal/par"
 )
 
 // LibraryOptions configures a whole-library lint run.
@@ -22,22 +21,12 @@ type LibraryOptions struct {
 }
 
 // LintLibrary lints every cell of a library concurrently: each cell is
-// flattened and run through the rule set in its own goroutine, plus the
-// library-level FCV008 unused-cell analysis. The merged report is
-// deterministic — ordered by cell, rule, subject — regardless of
-// goroutine scheduling, so repeated runs are byte-identical.
+// flattened and run through the rule set as one job on par's worker
+// pool, plus the library-level FCV008 unused-cell analysis. The merged
+// report is deterministic — ordered by cell, rule, subject — regardless
+// of goroutine scheduling, so repeated runs are byte-identical.
 func LintLibrary(lib *netlist.Library, opt LibraryOptions) (*Report, error) {
 	cells := lib.Cells()
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 
 	// Waivers mutate shared state (used-entry tracking) and must also
 	// see final cell names; apply them once after the merge instead of
@@ -45,39 +34,18 @@ func LintLibrary(lib *netlist.Library, opt LibraryOptions) (*Report, error) {
 	cellOpt := opt.Options
 	cellOpt.Waivers = nil
 
-	type cellResult struct {
-		diags []Diag
-		err   error
-	}
-	results := make(map[string]cellResult, len(cells))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	work := make(chan string)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for name := range work {
-				diags, err := lintCell(lib, name, cellOpt)
-				mu.Lock()
-				results[name] = cellResult{diags, err}
-				mu.Unlock()
-			}
-		}()
-	}
-	for _, name := range cells {
-		work <- name
-	}
-	close(work)
-	wg.Wait()
+	diags := make([][]Diag, len(cells))
+	errs := make([]error, len(cells))
+	par.Do(len(cells), par.Workers(opt.Workers, len(cells)), func(i int) {
+		diags[i], errs[i] = lintCell(lib, cells[i], cellOpt)
+	})
 
 	var merged []Diag
-	for _, name := range cells {
-		res := results[name]
-		if res.err != nil {
-			return nil, fmt.Errorf("lint: cell %s: %w", name, res.err)
+	for i, name := range cells {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("lint: cell %s: %w", name, errs[i])
 		}
-		merged = append(merged, res.diags...)
+		merged = append(merged, diags[i]...)
 	}
 	merged = append(merged, unusedCells(lib, opt.Roots)...)
 	applyWaivers(merged, opt.Waivers)

@@ -2,15 +2,15 @@ package rtl
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // BlockConfig describes a block-parallel packed run: Blocks independent
 // 64-lane PackedSims, each driven Cycles cycles of seeded random
-// stimulus on Inputs, executed by at most Workers goroutines.
+// stimulus on Inputs, run on par's worker pool by at most Workers
+// goroutines.
 type BlockConfig struct {
 	Blocks  int
 	Cycles  int
@@ -38,20 +38,14 @@ type BlockResult struct {
 // its stimulus with Seed+b, so the full stimulus schedule is fixed by
 // the config alone, and the returned slice is always in block order —
 // goroutines only decide *when* a block runs, never what it computes.
-// Worker busy time is published as rtl.block.utilization (busy/wall)
+// Block busy time is published as rtl.block.utilization (busy/wall)
 // and the effective worker count as rtl.block.workers; total coverage
 // counts into the rtl.block.cycles / rtl.block.lane_cycles counters.
 func RunBlocks(d *Design, cfg BlockConfig, col *obs.Collector) ([]BlockResult, error) {
 	if cfg.Blocks <= 0 {
 		return nil, fmt.Errorf("fcl: RunBlocks needs at least one block")
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Blocks {
-		workers = cfg.Blocks
-	}
+	workers := par.Workers(cfg.Workers, cfg.Blocks)
 	digest := cfg.Digest
 	if len(digest) == 0 {
 		for _, s := range d.Signals {
@@ -68,26 +62,13 @@ func RunBlocks(d *Design, cfg BlockConfig, col *obs.Collector) ([]BlockResult, e
 
 	results := make([]BlockResult, cfg.Blocks)
 	errs := make([]error, cfg.Blocks)
-	blockCh := make(chan int)
-	var wg sync.WaitGroup
-	busy := make([]float64, workers) // per-worker busy ms (volatile telemetry)
+	busy := make([]float64, cfg.Blocks) // per-block busy ms (volatile telemetry)
 	t0 := obs.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for b := range blockCh {
-				bt := obs.Now()
-				results[b], errs[b] = runOneBlock(d, cfg, b, digest)
-				busy[w] += float64(obs.Now().Sub(bt).Microseconds()) / 1000
-			}
-		}(w)
-	}
-	for b := 0; b < cfg.Blocks; b++ {
-		blockCh <- b
-	}
-	close(blockCh)
-	wg.Wait()
+	par.Do(cfg.Blocks, workers, func(b int) {
+		bt := obs.Now()
+		results[b], errs[b] = runOneBlock(d, cfg, b, digest)
+		busy[b] = float64(obs.Now().Sub(bt).Microseconds()) / 1000
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -36,8 +36,9 @@ func (d *Design) SignalIndex(name string) int {
 	return -1
 }
 
-// Elaborate flattens the program's instance tree, checks semantic rules
-// and levelizes the combinational assigns.
+// Elaborate flattens the program's instance tree, bounds its memory and
+// CAM words, checks semantic rules and levelizes the combinational
+// assigns.
 func Elaborate(prog *Program) (*Design, error) {
 	top, ok := prog.Modules[prog.Top]
 	if !ok {
@@ -51,6 +52,19 @@ func Elaborate(prog *Program) (*Design, error) {
 	}
 	if err := d.inline(prog, top, "", nil, map[string]bool{prog.Top: true}); err != nil {
 		return nil, err
+	}
+	// inline copies a child's arrays into every instance, so nesting
+	// multiplies them; bound the whole design as the parser bounds one
+	// declaration, before a simulator allocates every word.
+	words := 0
+	for _, m := range d.Mems {
+		words += m.Depth
+	}
+	for _, c := range d.Cams {
+		words += c.Depth
+	}
+	if words > maxDepth {
+		return nil, fmt.Errorf("fcl: design %s holds %d memory and CAM words, over the limit of %d", prog.Top, words, maxDepth)
 	}
 	if err := d.checkRefs(); err != nil {
 		return nil, err

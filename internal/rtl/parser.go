@@ -191,8 +191,9 @@ func parseSignal(m *Module, line string, no int) error {
 	return nil
 }
 
-// maxDepth bounds a memory's or CAM's word count, which the simulators
-// allocate up front; the largest repo design, S4's CAM, has 2048.
+// maxDepth bounds a memory's or CAM's word count, and an elaborated
+// design's total, which the simulators allocate up front; the largest
+// repo design, S4's CAM, has 2048.
 const maxDepth = 1 << 16
 
 // parseArray handles "mem name depth width" and "cam name depth width".

@@ -403,6 +403,57 @@ func TestArrayDepthBound(t *testing.T) {
 	}
 }
 
+// TestElaboratedArrayBound: inst copies a child's arrays into every
+// instance, so a deck whose every declaration is within maxDepth can
+// elaborate to far more words. Elaborate bounds the design's total, and
+// a design exactly at the limit elaborates.
+func TestElaboratedArrayBound(t *testing.T) {
+	// nested puts leaf's arrays under four levels of four instances: 256
+	// copies.
+	nested := func(leaf string) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "module l0(a -> b)\n%s\nassign b = a\nendmodule\n", leaf)
+		for lvl := 1; lvl <= 4; lvl++ {
+			name := fmt.Sprintf("l%d", lvl)
+			if lvl == 4 {
+				name = "top"
+			}
+			fmt.Fprintf(&b, "module %s(a -> b)\n", name)
+			for i := 0; i < 4; i++ {
+				fmt.Fprintf(&b, "inst u%d of l%d(a=a)\n", i, lvl-1)
+			}
+			b.WriteString("assign b = a\nendmodule\n")
+		}
+		return b.String()
+	}
+	for _, tc := range []struct {
+		leaf  string
+		words int // 256 copies of the leaf's depths
+	}{
+		{"mem m 65536 64", 256 * 65536},
+		{"mem m 128 8\ncam c 129 8", 256 * 257},
+		{"mem m 128 8\ncam c 128 8", maxDepth},
+	} {
+		prog, err := ParseString(nested(tc.leaf))
+		if err != nil {
+			t.Fatalf("%q: %v", tc.leaf, err)
+		}
+		d, err := Elaborate(prog)
+		if tc.words > maxDepth {
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("holds %d memory and CAM words, over the limit of %d", tc.words, maxDepth)) {
+				t.Errorf("%q: want an error naming %d words and the limit, got %v", tc.leaf, tc.words, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%q: %d words, at the limit: %v", tc.leaf, tc.words, err)
+		}
+		if got := len(d.Mems) + len(d.Cams); got != 512 {
+			t.Errorf("%q: %d arrays elaborated, want 512", tc.leaf, got)
+		}
+	}
+}
+
 func TestNumberFormats(t *testing.T) {
 	s := mustSim(t, `
 module top( -> a[16], b[16], c[16])

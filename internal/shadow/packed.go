@@ -3,11 +3,10 @@ package shadow
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/netlist"
+	"repro/internal/par"
 	"repro/internal/rtl"
 	"repro/internal/switchsim"
 )
@@ -243,39 +242,20 @@ type BlockReport struct {
 // RunBlocks runs a block-parallel packed shadow sweep: block b builds
 // its own RTL+circuit pair over the shared (read-only) design and
 // netlist, seeds its stimulus with Seed+b, and shadows Cycles cycles of
-// 64 lanes. Every block's work is a pure function of (design, circuit,
-// binding, config, block index), so reports — including each mismatch's
-// block/lane coordinates — are byte-identical at any worker count, and
-// the returned slice is always in block order.
+// 64 lanes, one job per block on par's worker pool. Every block's work
+// is a pure function of (design, circuit, binding, config, block index),
+// so reports — including each mismatch's block/lane coordinates — are
+// byte-identical at any worker count, and the returned slice is always
+// in block order.
 func RunBlocks(d *rtl.Design, ckt *netlist.Circuit, b Binding, cfg BlockRunConfig) ([]BlockReport, error) {
 	if cfg.Blocks <= 0 {
 		return nil, fmt.Errorf("shadow: RunBlocks needs at least one block")
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Blocks {
-		workers = cfg.Blocks
-	}
 	reports := make([]BlockReport, cfg.Blocks)
 	errs := make([]error, cfg.Blocks)
-	blockCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for blk := range blockCh {
-				reports[blk], errs[blk] = runShadowBlock(d, ckt, b, cfg, blk)
-			}
-		}()
-	}
-	for blk := 0; blk < cfg.Blocks; blk++ {
-		blockCh <- blk
-	}
-	close(blockCh)
-	wg.Wait()
+	par.Do(cfg.Blocks, par.Workers(cfg.Workers, cfg.Blocks), func(blk int) {
+		reports[blk], errs[blk] = runShadowBlock(d, ckt, b, cfg, blk)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
