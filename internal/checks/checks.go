@@ -35,7 +35,8 @@ type Verdict int
 // Verdicts, ordered by severity.
 const (
 	// Pass: the filter proves the circuit has no problem; the designer
-	// never sees it.
+	// never sees it. RunAll keeps a pass only as a count in
+	// Report.ByCheck; Run returns it as a finding.
 	Pass Verdict = iota
 	// Inspect: the filter cannot prove safety; the designer must look.
 	Inspect
@@ -69,15 +70,14 @@ type Finding struct {
 	Margin float64
 	// Detail is a human-readable explanation with numbers.
 	Detail string
-	// ID is the stable finding identity ("check/<name>@<16-hex>"):
-	// rename-invariant because the hex half is the subject's structural
-	// signature (netlist.Signatures), not its name. Filled by the
-	// provenance pass after the battery runs.
+	// ID is the stable finding identity ("check/<name>@<16-hex>", "#n"
+	// suffixed on the n-th finding of the check on a structurally
+	// identical subject): rename-invariant because the hex half is the
+	// subject's structural signature (netlist.Signatures), not its name.
 	ID string
 	// Evidence is the structured context behind the finding: what the
 	// check looked at and what it measured, so run reports can explain a
-	// verdict without re-running the battery. Filled by the provenance
-	// pass.
+	// verdict without re-running the battery.
 	Evidence obs.Evidence
 }
 
@@ -112,22 +112,22 @@ type Options struct {
 
 // Report aggregates a battery run.
 type Report struct {
+	// Findings holds the inspect and violation findings, the ones the
+	// designer sees, in battery order. A pass is only counted, in
+	// ByCheck.
 	Findings []Finding
-	// ByCheck counts findings per check name and verdict.
+	// ByCheck counts findings per check name and verdict, passes
+	// included. Every check has an entry, and a verdict a check never
+	// gave has no key.
 	ByCheck map[string]map[Verdict]int
 }
 
 // Counts returns total (pass, inspect, violation) counts.
 func (r *Report) Counts() (pass, inspect, violation int) {
-	for _, f := range r.Findings {
-		switch f.Verdict {
-		case Pass:
-			pass++
-		case Inspect:
-			inspect++
-		default:
-			violation++
-		}
+	for _, m := range r.ByCheck {
+		pass += m[Pass]
+		inspect += m[Inspect]
+		violation += m[Violation]
 	}
 	return
 }
@@ -147,11 +147,11 @@ func (r *Report) Violations() []Finding {
 // paper's measure of how much design the tools keep away from the
 // designer's eyes.
 func (r *Report) FilterEffectiveness() float64 {
-	if len(r.Findings) == 0 {
+	p, i, v := r.Counts()
+	if p+i+v == 0 {
 		return 1
 	}
-	p, _, _ := r.Counts()
-	return float64(p) / float64(len(r.Findings))
+	return float64(p) / float64(p+i+v)
 }
 
 // Summary renders per-check counts, sorted by check name.
@@ -170,17 +170,28 @@ func (r *Report) Summary() string {
 	return s
 }
 
-// A checkFunc runs one §4.2 check over a recognized circuit.
-type checkFunc func(rec *recognize.Result, opt *Options, sh *shared) []Finding
+// A checkFunc runs one §4.2 check over a recognized circuit, handing
+// each finding to sh.emit.
+type checkFunc func(rec *recognize.Result, opt *Options, sh *shared)
 
 // shared is the circuit structure the checks of one RunAll or Run call
 // read: the adjacency index, every node's load capacitance and the
 // signature table findings are named from. It is built once per call
-// and dropped with it.
+// and dropped with it. It also carries the running check's name,
+// verdict tally and ID counter, which begin resets, and out, the kept
+// findings of every check the call has run.
 type shared struct {
+	rec   *recognize.Result
 	adj   *netlist.Adjacency
 	loads []float64
 	sigs  *netlist.Signatures
+	// keepPass keeps passing findings: Run sets it, RunAll does not.
+	keepPass bool
+
+	check string
+	tally [Violation + 1]int
+	ids   netlist.IDCounter
+	out   []Finding
 }
 
 // prepare validates and defaults opt and builds the shared structure.
@@ -192,10 +203,41 @@ func prepare(rec *recognize.Result, sigs *netlist.Signatures, opt *Options) (*sh
 		opt.PeriodPS = 1e6 / opt.Proc.ClockFreqMHz // MHz → ps
 	}
 	return &shared{
+		rec:   rec,
 		adj:   netlist.NewAdjacency(rec.Circuit),
 		loads: netlist.NodeLoads(rec.Circuit, opt.Proc),
 		sigs:  sigs,
 	}, nil
+}
+
+// begin readies sh for the findings of the named check.
+func (sh *shared) begin(check string) {
+	sh.check = check
+	sh.tally = [Violation + 1]int{}
+	sh.ids.Reset("check", check)
+}
+
+// emit is the one path every finding takes. It counts the verdict and
+// the finding's base ID, so a kept finding's "#n" suffix counts the
+// passes before it. A pass stops there unless sh keeps passes;
+// otherwise emit builds the finding's detail (detail is called only
+// then), numbered ID and evidence, and appends it to sh.out.
+func (sh *shared) emit(subject string, v Verdict, margin float64, detail func() string) {
+	sh.tally[v]++
+	name := sigSubject(sh.rec.Circuit, subject)
+	base, n := sh.ids.Count(sh.sigs.SubjectSig(name))
+	if v == Pass && !sh.keepPass {
+		return
+	}
+	sh.out = append(sh.out, Finding{
+		Check:    sh.check,
+		Subject:  subject,
+		Verdict:  v,
+		Margin:   margin,
+		Detail:   detail(),
+		ID:       sh.ids.ID(base, n),
+		Evidence: sh.evidence(name, margin),
+	})
 }
 
 // battery lists all checks in the paper's order.
@@ -228,40 +270,45 @@ func CheckNames() []string {
 }
 
 // RunAll executes the full battery. sigs is the signature table of
-// rec.Circuit; it names the findings (see attachProvenance).
+// rec.Circuit; it names the findings. The report keeps the inspect and
+// violation findings, each with its detail, ID and evidence, and
+// counts every verdict, passes included, per check: a pass is what the
+// designer never sees, so it is never built.
 func RunAll(rec *recognize.Result, sigs *netlist.Signatures, opt Options) (*Report, error) {
 	sh, err := prepare(rec, sigs, &opt)
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{ByCheck: make(map[string]map[Verdict]int)}
+	rep := &Report{ByCheck: make(map[string]map[Verdict]int, len(battery))}
 	for _, b := range battery {
-		fs := b.fn(rec, &opt, sh)
-		rep.Findings = append(rep.Findings, fs...)
-		m := rep.ByCheck[b.name]
-		if m == nil {
-			m = make(map[Verdict]int)
-			rep.ByCheck[b.name] = m
+		sh.begin(b.name)
+		b.fn(rec, &opt, sh)
+		m := make(map[Verdict]int)
+		for v, n := range sh.tally {
+			if n > 0 {
+				m[Verdict(v)] = n
+			}
 		}
-		for _, f := range fs {
-			m[f.Verdict]++
-		}
+		rep.ByCheck[b.name] = m
 	}
-	attachProvenance(rep.Findings, rec, sigs, sh.adj)
+	rep.Findings = sh.out
 	return rep, nil
 }
 
-// Run executes a single named check; sigs is as for RunAll.
+// Run executes a single named check; sigs is as for RunAll. It returns
+// every finding of the check, passes included, each with its detail,
+// ID and evidence, and each ID as RunAll would number it.
 func Run(name string, rec *recognize.Result, sigs *netlist.Signatures, opt Options) ([]Finding, error) {
 	sh, err := prepare(rec, sigs, &opt)
 	if err != nil {
 		return nil, err
 	}
+	sh.keepPass = true
 	for _, b := range battery {
 		if b.name == name {
-			fs := b.fn(rec, &opt, sh)
-			attachProvenance(fs, rec, sigs, sh.adj)
-			return fs, nil
+			sh.begin(b.name)
+			b.fn(rec, &opt, sh)
+			return sh.out, nil
 		}
 	}
 	return nil, fmt.Errorf("checks: unknown check %q (known: %v)", name, CheckNames())

@@ -18,8 +18,7 @@ import (
 // (its driver fights back), so its threshold is generous; a dynamic or
 // state node has no restoring drive while floating, so its threshold is
 // a fraction of the device threshold voltage.
-func checkCoupling(rec *recognize.Result, opt *Options, sh *shared) []Finding {
-	var out []Finding
+func checkCoupling(rec *recognize.Result, opt *Options, sh *shared) {
 	p := opt.Proc
 	c := rec.Circuit
 	loads := sh.loads
@@ -67,12 +66,8 @@ func checkCoupling(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 		if dynamic {
 			kind = "dynamic"
 		}
-		out = append(out, Finding{
-			Check:   "coupling",
-			Subject: c.NodeName(id),
-			Verdict: verdictFromMargin(margin, 0.3),
-			Margin:  margin,
-			Detail:  fmt.Sprintf("%s victim: ΔV=%.2f V from %s (limit %.2f V)", kind, dv, names, threshold),
+		sh.emit(c.NodeName(id), verdictFromMargin(margin, 0.3), margin, func() string {
+			return fmt.Sprintf("%s victim: ΔV=%.2f V from %s (limit %.2f V)", kind, dv, names, threshold)
 		})
 	}
 
@@ -93,7 +88,6 @@ func checkCoupling(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 	for _, id := range victims {
 		check(id, dynOrState[id])
 	}
-	return out
 }
 
 // checkChargeShare — "Dynamic charge share analysis" (Figure 3: "charge
@@ -104,8 +98,7 @@ func checkCoupling(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 // charge with discharged internal nodes: ΔV = Vdd·Cint/(Cint+Cdyn). If
 // that droop approaches the output buffer's threshold, the gate falsely
 // evaluates.
-func checkChargeShare(rec *recognize.Result, opt *Options, sh *shared) []Finding {
-	var out []Finding
+func checkChargeShare(rec *recognize.Result, opt *Options, sh *shared) {
 	p := opt.Proc
 	c := rec.Circuit
 	loads := sh.loads
@@ -130,26 +123,21 @@ func checkChargeShare(rec *recognize.Result, opt *Options, sh *shared) []Finding
 			// finding is capped at Inspect rather than Violation —
 			// exactly the filter-and-let-the-designer-look posture.
 			keeper := rec.Keeper(f.Node) != nil
-			detail := fmt.Sprintf("droop %.2f V (Cint %.1f fF vs Cdyn %.1f fF, limit %.2f V)",
-				dv, cint, cdyn, vtn)
+			note := ""
 			verdict := verdictFromMargin(margin, 0.3)
 			if keeper && verdict == Violation {
 				verdict = Inspect
 				if margin < 0 {
 					margin = 0
 				}
-				detail += "; keeper present — verify keeper sizing"
+				note = "; keeper present — verify keeper sizing"
 			}
-			out = append(out, Finding{
-				Check:   "charge-share",
-				Subject: c.NodeName(f.Node),
-				Verdict: verdict,
-				Margin:  margin,
-				Detail:  detail,
+			sh.emit(c.NodeName(f.Node), verdict, margin, func() string {
+				return fmt.Sprintf("droop %.2f V (Cint %.1f fF vs Cdyn %.1f fF, limit %.2f V)%s",
+					dv, cint, cdyn, vtn, note)
 			})
 		}
 	}
-	return out
 }
 
 // checkDynamicLeakage — "Dynamic node leakage checks" (Figure 3:
@@ -159,8 +147,7 @@ func checkChargeShare(rec *recognize.Result, opt *Options, sh *shared) []Finding
 // against the off-tree's subthreshold leakage: t_hold = C·ΔV_max/I_leak
 // must exceed the phase width with margin, or the node needs a keeper
 // (§3's leakage concern, applied at circuit grain).
-func checkDynamicLeakage(rec *recognize.Result, opt *Options, sh *shared) []Finding {
-	var out []Finding
+func checkDynamicLeakage(rec *recognize.Result, opt *Options, sh *shared) {
 	p := opt.Proc
 	c := rec.Circuit
 	loads := sh.loads
@@ -172,11 +159,7 @@ func checkDynamicLeakage(rec *recognize.Result, opt *Options, sh *shared) []Find
 		}
 		for _, f := range g.Funcs {
 			if rec.Keeper(f.Node) != nil {
-				out = append(out, Finding{
-					Check: "dynamic-leakage", Subject: c.NodeName(f.Node),
-					Verdict: Pass, Margin: 1,
-					Detail: "keeper present",
-				})
+				sh.emit(c.NodeName(f.Node), Pass, 1, func() string { return "keeper present" })
 				continue
 			}
 			var leak float64 // µA
@@ -194,15 +177,10 @@ func checkDynamicLeakage(rec *recognize.Result, opt *Options, sh *shared) []Find
 			if margin > 5 {
 				margin = 5 // cap for readability, keep gradation
 			}
-			out = append(out, Finding{
-				Check:   "dynamic-leakage",
-				Subject: c.NodeName(f.Node),
-				Verdict: verdictFromMargin(margin, 0.25),
-				Margin:  margin,
-				Detail: fmt.Sprintf("hold %.0f ps vs evaluate window %.0f ps (leak %.3g µA)",
-					holdPS, halfPeriod, leak),
+			sh.emit(c.NodeName(f.Node), verdictFromMargin(margin, 0.25), margin, func() string {
+				return fmt.Sprintf("hold %.0f ps vs evaluate window %.0f ps (leak %.3g µA)",
+					holdPS, halfPeriod, leak)
 			})
 		}
 	}
-	return out
 }

@@ -17,8 +17,7 @@ import (
 // drive; extreme skew signals a sizing mistake. For ratioed groups, the
 // intended winner must overpower the load decisively or the output low
 // level rises into the receiver's threshold.
-func checkBetaRatio(rec *recognize.Result, opt *Options, sh *shared) []Finding {
-	var out []Finding
+func checkBetaRatio(rec *recognize.Result, opt *Options, sh *shared) {
 	p := opt.Proc
 	c := rec.Circuit
 	for _, g := range rec.Groups {
@@ -35,12 +34,8 @@ func checkBetaRatio(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 				// skew either way.
 				skew := math.Abs(math.Log2(ratio)) // 0 balanced, 2 at 4×
 				margin := 1 - skew/2
-				out = append(out, Finding{
-					Check:   "beta-ratio",
-					Subject: c.NodeName(f.Node),
-					Verdict: verdictFromMargin(margin, 0.25),
-					Margin:  margin,
-					Detail:  fmt.Sprintf("complementary drive ratio up/down = %.2f", ratio),
+				sh.emit(c.NodeName(f.Node), verdictFromMargin(margin, 0.25), margin, func() string {
+					return fmt.Sprintf("complementary drive ratio up/down = %.2f", ratio)
 				})
 			}
 		case recognize.FamilyRatioed:
@@ -54,17 +49,12 @@ func checkBetaRatio(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 				// by ≥3× for a solid low (or high) level.
 				strongOverWeak := math.Max(up, down) / math.Min(up, down)
 				margin := (strongOverWeak - 2) / 2 // 0 at 2×, 0.5 at 3×, 1 at 4×
-				out = append(out, Finding{
-					Check:   "beta-ratio",
-					Subject: c.NodeName(f.Node),
-					Verdict: verdictFromMargin(margin, 0.5),
-					Margin:  margin,
-					Detail:  fmt.Sprintf("ratioed fight %.2f:1 (driver:load)", strongOverWeak),
+				sh.emit(c.NodeName(f.Node), verdictFromMargin(margin, 0.5), margin, func() string {
+					return fmt.Sprintf("ratioed fight %.2f:1 (driver:load)", strongOverWeak)
 				})
 			}
 		}
 	}
-	return out
 }
 
 // bestPathCond returns the strongest (highest-conductance) path from the
@@ -90,8 +80,7 @@ func bestPathCond(rec *recognize.Result, g *recognize.Group, from, to netlist.No
 // A node's output transition time is R_drv·C_load; edges slower than a
 // few FO4 delays cause short-circuit current in receivers and widen the
 // noise-susceptibility window.
-func checkEdgeRate(rec *recognize.Result, opt *Options, sh *shared) []Finding {
-	var out []Finding
+func checkEdgeRate(rec *recognize.Result, opt *Options, sh *shared) {
 	p := opt.Proc
 	c := rec.Circuit
 	fo4 := p.FO4ps(process.Typical)
@@ -115,61 +104,47 @@ func checkEdgeRate(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 			if margin > 1 {
 				margin = 1
 			}
-			out = append(out, Finding{
-				Check:   "edge-rate",
-				Subject: c.NodeName(f.Node),
-				Verdict: verdictFromMargin(margin, 0.35),
-				Margin:  margin,
-				Detail:  fmt.Sprintf("worst edge %.0f ps (%.1f FO4)", edge, edge/fo4),
+			sh.emit(c.NodeName(f.Node), verdictFromMargin(margin, 0.35), margin, func() string {
+				return fmt.Sprintf("worst edge %.0f ps (%.1f FO4)", edge, edge/fo4)
 			})
 		}
 	}
-	return out
 }
 
 // checkLatch — "Latch checks." Every recognized state loop must be
 // clocked or be a deliberate keeper (static loop of exactly two
 // complementary groups); anything else is reported for inspection.
-func checkLatch(rec *recognize.Result, opt *Options, sh *shared) []Finding {
-	var out []Finding
+func checkLatch(rec *recognize.Result, opt *Options, sh *shared) {
 	c := rec.Circuit
 	for i, l := range rec.Latches {
 		subject := latchSubject(c, sh.sigs, i, l.StateNodes)
 		switch {
 		case len(l.Clocks) > 0:
-			out = append(out, Finding{
-				Check: "latch", Subject: subject, Verdict: Pass, Margin: 1,
-				Detail: fmt.Sprintf("clocked by %s, %d state nodes", c.NodeName(l.Clocks[0]), len(l.StateNodes)),
+			sh.emit(subject, Pass, 1, func() string {
+				return fmt.Sprintf("clocked by %s, %d state nodes", c.NodeName(l.Clocks[0]), len(l.StateNodes))
 			})
 		case l.Static && len(l.Groups) == 2:
-			out = append(out, Finding{
-				Check: "latch", Subject: subject, Verdict: Pass, Margin: 0.8,
-				Detail: "unclocked cross-coupled keeper",
-			})
+			sh.emit(subject, Pass, 0.8, func() string { return "unclocked cross-coupled keeper" })
 		case l.Static:
-			out = append(out, Finding{
-				Check: "latch", Subject: subject, Verdict: Inspect, Margin: 0.2,
-				Detail: fmt.Sprintf("unclocked static loop through %d groups", len(l.Groups)),
+			sh.emit(subject, Inspect, 0.2, func() string {
+				return fmt.Sprintf("unclocked static loop through %d groups", len(l.Groups))
 			})
 		default:
 			// An unclocked loop with members the recognizer could not
 			// classify is not a *proven* failure — it is exactly the
 			// "might have a problem" bucket: the designer must look.
-			out = append(out, Finding{
-				Check: "latch", Subject: subject, Verdict: Inspect, Margin: 0,
-				Detail: "unclocked loop containing non-static or unrecognized logic",
+			sh.emit(subject, Inspect, 0, func() string {
+				return "unclocked loop containing non-static or unrecognized logic"
 			})
 		}
 	}
-	return out
 }
 
 // checkWritability — "State-element writability and noise margin
 // analysis." For each latch, the write path through its clocked pass
 // devices must overpower the keeper's feedback drive; a keeper that wins
 // makes the latch unwritable.
-func checkWritability(rec *recognize.Result, opt *Options, sh *shared) []Finding {
-	var out []Finding
+func checkWritability(rec *recognize.Result, opt *Options, sh *shared) {
 	p := opt.Proc
 	c := rec.Circuit
 	for i, l := range rec.Latches {
@@ -193,10 +168,7 @@ func checkWritability(rec *recognize.Result, opt *Options, sh *shared) []Finding
 			}
 		}
 		if stateNode == netlist.InvalidNode {
-			out = append(out, Finding{
-				Check: "writability", Subject: subject, Verdict: Inspect, Margin: 0.1,
-				Detail: "no clocked write device found on state nodes",
-			})
+			sh.emit(subject, Inspect, 0.1, func() string { return "no clocked write device found on state nodes" })
 			continue
 		}
 		// Keeper strength: strongest unclocked drive onto that node at
@@ -224,10 +196,7 @@ func checkWritability(rec *recognize.Result, opt *Options, sh *shared) []Finding
 			}
 		}
 		if keeper == 0 {
-			out = append(out, Finding{
-				Check: "writability", Subject: subject, Verdict: Pass, Margin: 1,
-				Detail: "dynamic storage node (no keeper to fight)",
-			})
+			sh.emit(subject, Pass, 1, func() string { return "dynamic storage node (no keeper to fight)" })
 			continue
 		}
 		ratio := write / keeper
@@ -236,15 +205,10 @@ func checkWritability(rec *recognize.Result, opt *Options, sh *shared) []Finding
 		if margin > 1 {
 			margin = 1
 		}
-		out = append(out, Finding{
-			Check:   "writability",
-			Subject: subject,
-			Verdict: verdictFromMargin(margin, 0.3),
-			Margin:  margin,
-			Detail:  fmt.Sprintf("write:keeper strength %.2f:1", ratio),
+		sh.emit(subject, verdictFromMargin(margin, 0.3), margin, func() string {
+			return fmt.Sprintf("write:keeper strength %.2f:1", ratio)
 		})
 	}
-	return out
 }
 
 // latchSubject names latch i by the state node with the smallest

@@ -17,10 +17,9 @@ import (
 // margin, and into a dynamic node's retention margin. Domains come from
 // node "supply_domain" attributes plus the per-domain IR drop table in
 // Options; the check evaluates every driver→receiver gate crossing.
-func checkSupplyDifference(rec *recognize.Result, opt *Options, sh *shared) []Finding {
-	var out []Finding
+func checkSupplyDifference(rec *recognize.Result, opt *Options, sh *shared) {
 	if len(opt.SupplyDropMV) == 0 {
-		return nil // no IR-drop extraction available: nothing to check
+		return // no IR-drop extraction available: nothing to check
 	}
 	p := opt.Proc
 	c := rec.Circuit
@@ -70,17 +69,12 @@ func checkSupplyDifference(rec *recognize.Result, opt *Options, sh *shared) []Fi
 				subjectKind = "dynamic"
 			}
 			margin := (limit - dv) / limit
-			out = append(out, Finding{
-				Check:   "supply-difference",
-				Subject: c.NodeName(in),
-				Verdict: verdictFromMargin(margin, 0.3),
-				Margin:  margin,
-				Detail: fmt.Sprintf("%s receiver in %q driven from %q: ΔV=%.0f mV (budget %.0f mV)",
-					subjectKind, orCore(recvDomain), orCore(drvDomain), dropMV, limit*1000),
+			sh.emit(c.NodeName(in), verdictFromMargin(margin, 0.3), margin, func() string {
+				return fmt.Sprintf("%s receiver in %q driven from %q: ΔV=%.0f mV (budget %.0f mV)",
+					subjectKind, orCore(recvDomain), orCore(drvDomain), dropMV, limit*1000)
 			})
 		}
 	}
-	return out
 }
 
 // anyDynamicOutput reports whether any group output is dynamic or state.
@@ -113,8 +107,7 @@ const qCollectFC = 50.0
 // charge Qcrit = C·Vdd/2 is below the collected-charge magnitude, the
 // stored value flips. Only floating (dynamic/state) nodes matter — a
 // driven node is restored.
-func checkParticle(rec *recognize.Result, opt *Options, sh *shared) []Finding {
-	var out []Finding
+func checkParticle(rec *recognize.Result, opt *Options, sh *shared) {
 	p := opt.Proc
 	c := rec.Circuit
 	loads := sh.loads
@@ -156,13 +149,8 @@ func checkParticle(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 		if verdict == Violation {
 			verdict = Inspect
 		}
-		out = append(out, Finding{
-			Check:   "particle",
-			Subject: c.NodeName(id),
-			Verdict: verdict,
-			Margin:  margin,
-			Detail:  fmt.Sprintf("Qcrit %.1f fC vs Qcollect %.0f fC%s", qcrit, qCollectFC, override),
+		sh.emit(c.NodeName(id), verdict, margin, func() string {
+			return fmt.Sprintf("Qcrit %.1f fC vs Qcollect %.0f fC%s", qcrit, qCollectFC, override)
 		})
 	}
-	return out
 }

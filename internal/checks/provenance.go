@@ -5,34 +5,11 @@ import (
 
 	"repro/internal/netlist"
 	"repro/internal/obs"
-	"repro/internal/recognize"
 )
 
 // evidenceBound caps the devices/nets lists attached to a finding so
 // evidence on a huge bus node stays readable (and the manifest bounded).
 const evidenceBound = 8
-
-// attachProvenance fills each finding's stable ID and evidence block in
-// one pass over the battery output. IDs come from the circuit's
-// structural signatures, so they survive node/device renames and deck
-// reordering; findings on structurally symmetric subjects (which share
-// a signature by construction) are disambiguated with "#n" suffixes in
-// battery order, keeping the ID multiset itself rename-invariant.
-func attachProvenance(fs []Finding, rec *recognize.Result, sigs *netlist.Signatures, adj *netlist.Adjacency) {
-	if len(fs) == 0 {
-		return
-	}
-	ids := make([]string, len(fs))
-	for i := range fs {
-		f := &fs[i]
-		ids[i] = sigs.FindingID("check", f.Check, sigSubject(rec.Circuit, f.Subject))
-		f.Evidence = buildEvidence(rec, sigs, adj, f)
-	}
-	netlist.DisambiguateIDs(ids)
-	for i := range fs {
-		fs[i].ID = ids[i]
-	}
-}
 
 // sigSubject maps a finding subject to the handle the signature layer
 // hashes. Most subjects are node or device names already; composite
@@ -54,17 +31,16 @@ func sigSubject(c *netlist.Circuit, subject string) string {
 	return subject
 }
 
-// buildEvidence derives the generic evidence block: the devices and
-// nets around the subject plus the recognized topology context. Checks
-// report a normalized margin, so Measured is the margin against a 0
-// threshold.
-func buildEvidence(rec *recognize.Result, sigs *netlist.Signatures, adj *netlist.Adjacency, f *Finding) obs.Evidence {
-	c := rec.Circuit
-	ev := obs.Evidence{Measured: f.Margin, Threshold: 0, Unit: "margin"}
-	name := sigSubject(c, f.Subject)
+// evidence derives a finding's generic evidence block from name, the
+// subject sigSubject resolved: the devices and nets around it plus the
+// recognized topology context. Checks report a normalized margin, so
+// Measured is the margin against a 0 threshold.
+func (sh *shared) evidence(name string, margin float64) obs.Evidence {
+	rec, c := sh.rec, sh.rec.Circuit
+	ev := obs.Evidence{Measured: margin, Threshold: 0, Unit: "margin"}
 	if id := c.FindNode(name); id != netlist.InvalidNode {
 		ev.Nets = append(ev.Nets, c.NodeName(id))
-		for _, d := range adj.Channel(id) {
+		for _, d := range sh.adj.Channel(id) {
 			if len(ev.Devices) >= evidenceBound {
 				break
 			}
@@ -86,7 +62,7 @@ func buildEvidence(rec *recognize.Result, sigs *netlist.Signatures, adj *netlist
 		ev.Context = strings.Join(ctx, ", ")
 		return ev
 	}
-	i, ok := sigs.DeviceIndex(name)
+	i, ok := sh.sigs.DeviceIndex(name)
 	if !ok {
 		return ev
 	}

@@ -27,15 +27,12 @@ func dominoRenamed() *netlist.Circuit {
 	return c
 }
 
-// findingIDs runs the battery and returns the sorted finding-ID list.
+// findingIDs runs every check with Run, so passes are named too, and
+// returns the sorted finding-ID list.
 func findingIDs(t *testing.T, c *netlist.Circuit) []string {
 	t.Helper()
-	rep, err := runAll(rec(t, c), opts())
-	if err != nil {
-		t.Fatal(err)
-	}
 	var ids []string
-	for _, f := range rep.Findings {
+	for _, f := range runEach(t, rec(t, c), netlist.ComputeSignatures(c), opts()) {
 		if f.ID == "" {
 			t.Errorf("finding %s/%s has no ID", f.Check, f.Subject)
 		}
@@ -98,12 +95,9 @@ func TestFindingIDsGolden(t *testing.T) {
 // provenance: node findings carry their nets and attached devices,
 // device findings their terminals, and all carry the measured margin.
 func TestEvidenceAttached(t *testing.T) {
-	rep, err := runAll(rec(t, domino(false, 0)), opts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := domino(false, 0)
 	var nodeChecked, devChecked bool
-	for _, f := range rep.Findings {
+	for _, f := range runEach(t, rec(t, c), netlist.ComputeSignatures(c), opts()) {
 		if f.Evidence.Unit != "margin" {
 			t.Errorf("%s %s: evidence unit %q, want margin", f.Check, f.Subject, f.Evidence.Unit)
 		}

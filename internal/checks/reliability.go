@@ -17,8 +17,7 @@ import (
 // an RC settling constant; clock edges slower than a small fraction of
 // the period skew every latch fed by the net. The min/max correlation is
 // captured by evaluating at ±tolerance and reporting the worst.
-func checkClockRC(rec *recognize.Result, opt *Options, sh *shared) []Finding {
-	var out []Finding
+func checkClockRC(rec *recognize.Result, opt *Options, sh *shared) {
 	c := rec.Circuit
 	loads := sh.loads
 	limit := opt.PeriodPS * 0.05 // 5% of the cycle
@@ -33,16 +32,11 @@ func checkClockRC(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 		}
 		rcMax := r * (1 + mfgTol) * loads[ck] * (1 + mfgTol) * 1e-3 // ps
 		margin := (limit - rcMax) / limit
-		out = append(out, Finding{
-			Check:   "clock-rc",
-			Subject: c.NodeName(ck),
-			Verdict: verdictFromMargin(margin, 0.4),
-			Margin:  margin,
-			Detail: fmt.Sprintf("worst RC %.1f ps vs %.1f ps budget (load %.1f fF)",
-				rcMax, limit, loads[ck]),
+		sh.emit(c.NodeName(ck), verdictFromMargin(margin, 0.4), margin, func() string {
+			return fmt.Sprintf("worst RC %.1f ps vs %.1f ps budget (load %.1f fF)",
+				rcMax, limit, loads[ck])
 		})
 	}
-	return out
 }
 
 // activityFactor is the fraction of cycles a typical node switches, for
@@ -57,8 +51,7 @@ const activityFactor = 0.15
 // the node's "wire_width" attribute when extracted, else minimum width):
 // the absolute limit is a violation; 70% of it is the statistical
 // (cumulative-failure) inspection threshold.
-func checkElectromigration(rec *recognize.Result, opt *Options, sh *shared) []Finding {
-	var out []Finding
+func checkElectromigration(rec *recognize.Result, opt *Options, sh *shared) {
 	p := opt.Proc
 	c := rec.Circuit
 	loads := sh.loads
@@ -78,17 +71,12 @@ func checkElectromigration(rec *recognize.Result, opt *Options, sh *shared) []Fi
 			j := iAvgMA / width
 			margin := (p.JmaxMA - j) / p.JmaxMA
 			// Statistical threshold: inspect above 70% of the limit.
-			out = append(out, Finding{
-				Check:   "electromigration",
-				Subject: c.NodeName(id),
-				Verdict: verdictFromMargin(margin, 0.3),
-				Margin:  margin,
-				Detail: fmt.Sprintf("J=%.3f mA/µm vs limit %.2f (I=%.3f mA, w=%.1f µm)",
-					j, p.JmaxMA, iAvgMA, width),
+			sh.emit(c.NodeName(id), verdictFromMargin(margin, 0.3), margin, func() string {
+				return fmt.Sprintf("J=%.3f mA/µm vs limit %.2f (I=%.3f mA, w=%.1f µm)",
+					j, p.JmaxMA, iAvgMA, width)
 			})
 		}
 	}
-	return out
 }
 
 // checkAntenna — "Antenna checks."
@@ -99,18 +87,13 @@ func checkElectromigration(rec *recognize.Result, opt *Options, sh *shared) []Fi
 // come from layout extraction (Options.AntennaRatios or node "antenna"
 // attributes); unannotated nodes are skipped (nothing to check until
 // layout exists).
-func checkAntenna(rec *recognize.Result, opt *Options, sh *shared) []Finding {
-	var out []Finding
+func checkAntenna(rec *recognize.Result, opt *Options, sh *shared) {
 	p := opt.Proc
 	c := rec.Circuit
 	emit := func(name string, ratio float64) {
 		margin := (p.AntennaMaxRatio - ratio) / p.AntennaMaxRatio
-		out = append(out, Finding{
-			Check:   "antenna",
-			Subject: name,
-			Verdict: verdictFromMargin(margin, 0.25),
-			Margin:  margin,
-			Detail:  fmt.Sprintf("antenna ratio %.0f vs limit %.0f", ratio, p.AntennaMaxRatio),
+		sh.emit(name, verdictFromMargin(margin, 0.25), margin, func() string {
+			return fmt.Sprintf("antenna ratio %.0f vs limit %.0f", ratio, p.AntennaMaxRatio)
 		})
 	}
 	// Extraction-supplied ratios first, in node order rather than the
@@ -143,7 +126,6 @@ func checkAntenna(rec *recognize.Result, opt *Options, sh *shared) []Finding {
 			}
 		}
 	}
-	return out
 }
 
 // netlistInvalid mirrors netlist.InvalidNode without another import line.
@@ -158,8 +140,7 @@ const netlistInvalid = -1
 // design point (nominal Vdd at Lmin) and flags devices pushed beyond it —
 // e.g. a device ported from a higher-voltage domain or an L below the
 // process minimum.
-func checkHotCarrier(rec *recognize.Result, opt *Options, sh *shared) []Finding {
-	var out []Finding
+func checkHotCarrier(rec *recognize.Result, opt *Options, sh *shared) {
 	p := opt.Proc
 	c := rec.Circuit
 	nominal := p.Vdd / p.Lmin
@@ -183,13 +164,8 @@ func checkHotCarrier(rec *recognize.Result, opt *Options, sh *shared) []Finding 
 				continue
 			}
 		}
-		out = append(out, Finding{
-			Check:   "hot-carrier",
-			Subject: d.Name,
-			Verdict: verdict,
-			Margin:  margin,
-			Detail:  fmt.Sprintf("channel field %.2f V/µm (%.0f%% of process design point)", field, rel*100),
+		sh.emit(d.Name, verdict, margin, func() string {
+			return fmt.Sprintf("channel field %.2f V/µm (%.0f%% of process design point)", field, rel*100)
 		})
 	}
-	return out
 }

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/checks"
 	"repro/internal/core"
 	"repro/internal/designs"
 	"repro/internal/fleet"
@@ -23,9 +25,10 @@ import (
 // devices and resistors in another order and every non-supply net and
 // every device renamed moves neither its fingerprint nor, with or
 // without the lint gate, its verdict, inspect load or sorted finding IDs
-// (#n suffixes included). The input picks a design from the corpus, the
-// root of every examples/decks deck and six generated designs, and
-// seeds the reorder and the rename.
+// (#n suffixes included). Every verification, original or renamed, also
+// holds the battery to per-check checks.Run (batteryIDs). The input
+// picks a design from the corpus, the root of every examples/decks deck
+// and six generated designs, and seeds the reorder and the rename.
 func FuzzFindingIDsRenameInvariant(f *testing.F) {
 	corpus := renameCorpus(f)
 	want := make([]string, len(corpus))
@@ -155,8 +158,10 @@ func perm(rng *obs.RNG, n int) []int {
 
 // summarize renders what a rename must not move: c's fingerprint and,
 // without and with the lint gate, the verdict, the inspect load and the
-// sorted IDs of the report's findings and of every battery finding, or
-// the sorted IDs of the diagnostics a tripped gate reports.
+// sorted IDs of the report's findings and of every battery finding,
+// passes included, or the sorted IDs of the diagnostics a tripped gate
+// reports. It also holds the report's battery to per-check Run
+// (batteryIDs).
 func summarize(tb testing.TB, c *netlist.Circuit) string {
 	tb.Helper()
 	var b strings.Builder
@@ -171,16 +176,48 @@ func summarize(tb testing.TB, c *netlist.Circuit) string {
 			tb.Logf("lint=%v: %v", lint, err)
 			fmt.Fprintf(&b, "lint=%v: error\n", lint)
 		default:
-			var battery []string
-			for _, f := range rep.Checks.Findings {
-				battery = append(battery, f.ID)
-			}
-			sort.Strings(battery)
 			fmt.Fprintf(&b, "lint=%v: %s, inspect load %d\n  findings: %s\n  battery: %s\n",
-				lint, rep.Verdict, rep.InspectLoad, sortedIDs(rep.Findings()), strings.Join(battery, " "))
+				lint, rep.Verdict, rep.InspectLoad, sortedIDs(rep.Findings()), batteryIDs(tb, rep))
 		}
 	}
 	return b.String()
+}
+
+// batteryIDs runs every check with checks.Run on rep's recognition, as
+// Verify configured the battery, and returns the sorted IDs of all its
+// findings, passes included. It fails tb unless rep.Checks keeps
+// exactly the non-pass findings of those runs, in battery order, and
+// counts every verdict they give per check.
+func batteryIDs(tb testing.TB, rep *core.Report) string {
+	tb.Helper()
+	r := rep.Recognition
+	sigs := netlist.ComputeSignatures(r.Circuit)
+	opt := checks.Options{Proc: process.CMOS075(), PeriodPS: rep.Clock.PeriodPS}
+	var ids []string
+	var kept []checks.Finding
+	tally := make(map[string]map[checks.Verdict]int)
+	for _, name := range checks.CheckNames() {
+		fs, err := checks.Run(name, r, sigs, opt)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tally[name] = make(map[checks.Verdict]int)
+		for _, f := range fs {
+			ids = append(ids, f.ID)
+			tally[name][f.Verdict]++
+			if f.Verdict != checks.Pass {
+				kept = append(kept, f)
+			}
+		}
+	}
+	if !reflect.DeepEqual(rep.Checks.Findings, kept) {
+		tb.Errorf("%s: battery findings differ from per-check Run's non-pass findings", rep.Design)
+	}
+	if !reflect.DeepEqual(rep.Checks.ByCheck, tally) {
+		tb.Errorf("%s: battery tallies %v, per-check Run %v", rep.Design, rep.Checks.ByCheck, tally)
+	}
+	sort.Strings(ids)
+	return strings.Join(ids, " ")
 }
 
 // sortedIDs joins the findings' IDs in sorted order.

@@ -306,19 +306,18 @@ func RunRecognized(rec *recognize.Result, sigs *netlist.Signatures, opt Options)
 }
 
 // attachIDs fills each diagnostic's stable rename-invariant identity
-// after sorting, so "#n" disambiguation of structurally symmetric
-// subjects follows the deterministic report order.
+// after sorting, so "#n" numbering of structurally symmetric subjects
+// follows the deterministic report order.
 func attachIDs(diags []Diag, sigs *netlist.Signatures) {
-	if len(diags) == 0 {
-		return
-	}
-	ids := make([]string, len(diags))
-	for i, d := range diags {
-		ids[i] = sigs.FindingID("lint", d.Rule, d.Subject)
-	}
-	netlist.DisambiguateIDs(ids)
+	counters := make(map[string]*netlist.IDCounter)
 	for i := range diags {
-		diags[i].ID = ids[i]
+		d := &diags[i]
+		k := counters[d.Rule]
+		if k == nil {
+			k = netlist.NewIDCounter("lint", d.Rule)
+			counters[d.Rule] = k
+		}
+		d.ID = k.ID(k.Count(sigs.SubjectSig(d.Subject)))
 	}
 }
 

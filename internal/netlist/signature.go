@@ -14,8 +14,8 @@
 package netlist
 
 import (
-	"fmt"
 	"slices"
+	"strconv"
 )
 
 // Signatures is the per-object canonical label table of one circuit:
@@ -83,13 +83,13 @@ func (s *Signatures) SubjectSig(subject string) uint64 {
 // FindingID builds the stable finding identifier
 // "<source>/<check>@<16-hex>" from the check identity and the subject's
 // structural signature. Two findings of the same check on structurally
-// identical places share an ID (use DisambiguateIDs to suffix the
-// symmetric copies); renaming nodes or reordering the deck never
-// changes it, while a W/L, model or connectivity change within the
-// refinement horizon does.
+// identical places share an ID (an IDCounter numbers the symmetric
+// copies); renaming nodes or reordering the deck never changes it,
+// while a W/L, model or connectivity change within the refinement
+// horizon does.
 func (s *Signatures) FindingID(source, check, subject string) string {
-	h := fpMix(fpString(source+"/"+check), s.SubjectSig(subject))
-	return fmt.Sprintf("%s/%s@%016x", source, check, h)
+	prefix := source + "/" + check
+	return formatID(prefix, fpMix(fpString(prefix), s.SubjectSig(subject)), 1)
 }
 
 // StringID builds a finding identifier from a plain string subject with
@@ -97,22 +97,72 @@ func (s *Signatures) FindingID(source, check, subject string) string {
 // verification error, a missing corpus member) where the carrier is the
 // circuit fingerprint or the item name itself.
 func StringID(source, check, subject string) string {
-	h := fpMix(fpString(source+"/"+check), fpMix(fpString(subject), 7))
-	return fmt.Sprintf("%s/%s@%016x", source, check, h)
+	prefix := source + "/" + check
+	return formatID(prefix, fpMix(fpString(prefix), fpMix(fpString(subject), 7)), 1)
 }
 
-// DisambiguateIDs suffixes repeated IDs in place with "#2", "#3", … in
-// slice order, leaving the first occurrence bare. Structurally
-// symmetric findings (two identical inverters with the same defect)
-// share a base ID; the suffix keeps the rows distinct while the ID
-// *multiset* stays rename-invariant. The input order must already be
-// deterministic (reports sort their findings before calling this).
-func DisambiguateIDs(ids []string) {
-	seen := make(map[string]int, len(ids))
-	for i, id := range ids {
-		seen[id]++
-		if n := seen[id]; n > 1 {
-			ids[i] = fmt.Sprintf("%s#%d", id, n)
-		}
+// IDCounter numbers the finding IDs of one source and check in the
+// order the findings are counted. Structurally symmetric findings (two
+// identical inverters with the same defect) share a base ID, the
+// FindingID of their subject; the first keeps it bare and later ones
+// get "#2", "#3", …, which keeps the rows distinct while the ID
+// multiset stays rename-invariant. The counting order must be
+// deterministic, and every finding must be counted, also one that is
+// never named, so a named finding's suffix does not depend on which
+// others were named. The source and check are hashed once per Reset.
+type IDCounter struct {
+	prefix string         // "<source>/<check>"
+	seed   uint64         // fpString(prefix)
+	seen   map[uint64]int // findings counted per base hash
+}
+
+// NewIDCounter returns an empty counter for source and check.
+func NewIDCounter(source, check string) *IDCounter {
+	k := new(IDCounter)
+	k.Reset(source, check)
+	return k
+}
+
+// Reset empties k and points it at source and check, keeping the room
+// its count table has grown to.
+func (k *IDCounter) Reset(source, check string) {
+	k.prefix = source + "/" + check
+	k.seed = fpString(k.prefix)
+	if k.seen == nil {
+		k.seen = make(map[uint64]int)
+	} else {
+		clear(k.seen)
 	}
+}
+
+// Count counts one finding whose subject has structural signature sig
+// (Signatures.SubjectSig) and returns its base hash and its number
+// among the findings on that base, 1 for the first.
+func (k *IDCounter) Count(sig uint64) (base uint64, n int) {
+	base = fpMix(k.seed, sig)
+	n = k.seen[base] + 1
+	k.seen[base] = n
+	return base, n
+}
+
+// ID renders the n-th finding on base as Count returned them:
+// "<source>/<check>@<16-hex>", with "#n" appended from the second on.
+func (k *IDCounter) ID(base uint64, n int) string {
+	return formatID(k.prefix, base, n)
+}
+
+// formatID renders "<prefix>@<16-hex>", suffixed "#n" when n > 1.
+func formatID(prefix string, h uint64, n int) string {
+	const hex = "0123456789abcdef"
+	b := make([]byte, 0, len(prefix)+24)
+	b = append(b, prefix...)
+	b = append(b, '@')
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, hex[h>>uint(shift)&15])
+	}
+	if n > 1 {
+		b = append(b, '#')
+		b = strconv.AppendInt(b, int64(n), 10)
+	}
+	return string(b)
 }

@@ -1,7 +1,9 @@
 package netlist
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -97,15 +99,33 @@ func TestSignaturesDistinguishSubjects(t *testing.T) {
 	}
 }
 
-// TestDisambiguateIDs suffixes repeats deterministically.
-func TestDisambiguateIDs(t *testing.T) {
-	ids := []string{"a", "b", "a", "a", "b"}
-	DisambiguateIDs(ids)
-	want := []string{"a", "b", "a#2", "a#3", "b#2"}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Errorf("ids[%d] = %s, want %s", i, ids[i], want[i])
+// TestIDCounter: the counter numbers repeats of a base ID in counting
+// order, counts a finding it never names, renders the first finding on a
+// base as FindingID does, and starts over on Reset.
+func TestIDCounter(t *testing.T) {
+	s := ComputeSignatures(sigChain([4]string{"in", "n1", "n2", "out"}, false, 2))
+	k := NewIDCounter("check", "edge-rate")
+	var got []string
+	for i, subj := range []string{"n1", "n2", "n1", "n1", "n2", "n1"} {
+		base, n := k.Count(s.SubjectSig(subj))
+		if i == 3 {
+			continue // counted, never named
 		}
+		got = append(got, k.ID(base, n))
+	}
+	a, b := s.FindingID("check", "edge-rate", "n1"), s.FindingID("check", "edge-rate", "n2")
+	want := []string{a, b, a + "#2", b + "#2", a + "#4"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("IDs = %v, want %v", got, want)
+	}
+	for _, h := range []uint64{0, 0x1f, 0xfedcba9876543210} {
+		if got, want := formatID("check/x", h, 12), fmt.Sprintf("check/x@%016x#12", h); got != want {
+			t.Errorf("formatID(%#x) = %s, want %s", h, got, want)
+		}
+	}
+	k.Reset("lint", "FCV001")
+	if base, n := k.Count(s.SubjectSig("n1")); n != 1 || k.ID(base, n) != s.FindingID("lint", "FCV001", "n1") {
+		t.Errorf("after Reset: count %d, ID %s, want 1 and %s", n, k.ID(base, n), s.FindingID("lint", "FCV001", "n1"))
 	}
 }
 

@@ -74,10 +74,11 @@ type Path struct {
 	// primary output).
 	CaptureClock string
 	// SetupID and HoldID are the stable finding identities for this
-	// endpoint's setup and hold checks ("timing/setup@<16-hex>"):
-	// rename-invariant because the hex half is the endpoint's structural
-	// signature (netlist.Signatures). Diff tooling keys timing
-	// violations on these, so a renamed endpoint is the same finding.
+	// endpoint's setup and hold checks ("timing/setup@<16-hex>"), set
+	// only where the check fails (negative slack): rename-invariant
+	// because the hex half is the endpoint's structural signature
+	// (netlist.Signatures). Diff tooling keys timing violations on
+	// these, so a renamed endpoint is the same finding.
 	SetupID, HoldID string
 }
 
@@ -153,28 +154,30 @@ func Analyze(rec *recognize.Result, sigs *netlist.Signatures, opt Options) (*Rep
 	return rep, nil
 }
 
-// attachPathIDs fills every path's stable setup/hold finding identities.
-// Paths are already in their deterministic (slack-sorted) order, so the
-// "#n" disambiguation of structurally symmetric endpoints is stable;
-// Races are copies of Paths entries and inherit the IDs by endpoint.
+// attachPathIDs names the failing checks: the setup ID of every path
+// with negative setup slack and the hold ID of every race. Paths are
+// already in their deterministic (slack-sorted) order, and every path
+// counts towards the "#n" numbering of structurally symmetric
+// endpoints, so a failing check's ID does not depend on which others
+// fail. Races are copies of Paths entries and inherit the IDs by
+// endpoint.
 func attachPathIDs(rep *Report, sigs *netlist.Signatures) {
 	if len(rep.Paths) == 0 {
 		return
 	}
-	setup := make([]string, len(rep.Paths))
-	hold := make([]string, len(rep.Paths))
-	for i, p := range rep.Paths {
-		name := rep.Circuit.NodeName(p.Endpoint)
-		setup[i] = sigs.FindingID("timing", "setup", name)
-		hold[i] = sigs.FindingID("timing", "hold", name)
-	}
-	netlist.DisambiguateIDs(setup)
-	netlist.DisambiguateIDs(hold)
+	setup := netlist.NewIDCounter("timing", "setup")
+	hold := netlist.NewIDCounter("timing", "hold")
 	byEndpoint := make(map[netlist.NodeID]int, len(rep.Paths))
 	for i := range rep.Paths {
-		rep.Paths[i].SetupID = setup[i]
-		rep.Paths[i].HoldID = hold[i]
-		byEndpoint[rep.Paths[i].Endpoint] = i
+		p := &rep.Paths[i]
+		sig := sigs.SubjectSig(rep.Circuit.NodeName(p.Endpoint))
+		if base, n := setup.Count(sig); p.SetupSlack < 0 {
+			p.SetupID = setup.ID(base, n)
+		}
+		if base, n := hold.Count(sig); p.HoldSlack < 0 {
+			p.HoldID = hold.ID(base, n)
+		}
+		byEndpoint[p.Endpoint] = i
 	}
 	for i := range rep.Races {
 		if j, ok := byEndpoint[rep.Races[i].Endpoint]; ok {
