@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,7 +25,7 @@ func captureLint(t *testing.T, args []string) (string, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runErr := runLint(args, f)
+	runErr := runLint(args, f, io.Discard)
 	f.Close()
 	out, err := os.ReadFile(path)
 	if err != nil {
@@ -54,6 +56,44 @@ func TestLintExitCodes(t *testing.T) {
 	}
 	if err := run("lint", []string{"-waivers", waivers, brokenDeck}); err != nil {
 		t.Errorf("waived deck: %v, want nil (warnings never drive the exit code)", err)
+	}
+}
+
+// TestLintReportsUnusedWaivers checks that a waiver entry matching no
+// finding is named on stderr by file and line, while stdout in every
+// format and the exit code are those of the file without it.
+func TestLintReportsUnusedWaivers(t *testing.T) {
+	dir := t.TempDir()
+	used := "FCV001 broken_cell ghost intentionally floating for the test\n"
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	matching := write("matching", used)
+	stale := write("stale", used+"FCV009 gone_cell * fixed long ago\n")
+	lintWith := func(waivers, format string) (stdout, stderr string, err error) {
+		var out, errOut bytes.Buffer
+		err = runLint([]string{"-format", format, "-waivers", waivers, brokenDeck}, &out, &errOut)
+		return out.String(), errOut.String(), err
+	}
+	for _, format := range []string{"text", "json", "sarif"} {
+		wantOut, wantErrOut, wantErr := lintWith(matching, format)
+		if wantErrOut != "" {
+			t.Errorf("%s: every entry matched, yet stderr = %q", format, wantErrOut)
+		}
+		gotOut, gotErrOut, gotErr := lintWith(stale, format)
+		if want := stale + ":2: unused waiver FCV009 gone_cell *\n"; gotErrOut != want {
+			t.Errorf("%s: stderr = %q, want %q", format, gotErrOut, want)
+		}
+		if gotOut != wantOut {
+			t.Errorf("%s: a stale entry changed stdout:\n%s\nwant:\n%s", format, gotOut, wantOut)
+		}
+		if !errors.Is(gotErr, errLintFindings) || !errors.Is(wantErr, errLintFindings) {
+			t.Errorf("%s: err = %v and %v, want errLintFindings for the unwaived FCV003", format, gotErr, wantErr)
+		}
 	}
 }
 

@@ -76,6 +76,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -208,7 +209,7 @@ func run(cmd string, args []string) error {
 		return nil
 
 	case "lint":
-		return runLint(args, os.Stdout)
+		return runLint(args, os.Stdout, os.Stderr)
 
 	case "verify":
 		return runVerify(args, proc, period, os.Stdout)
@@ -457,9 +458,10 @@ func runVerify(args []string, proc *process.Process, period float64, out *os.Fil
 }
 
 // runLint is the lint subcommand: parse the deck, lint every cell in
-// parallel, render in the requested format, and signal unwaived
-// error-severity findings through errLintFindings (exit code 1).
-func runLint(args []string, out *os.File) error {
+// parallel, render in the requested format, report each waiver entry
+// that matched no finding on errOut, and signal unwaived error-severity
+// findings through errLintFindings (exit code 1).
+func runLint(args []string, out, errOut io.Writer) error {
 	fs := flag.NewFlagSet("lint", flag.ContinueOnError)
 	format := fs.String("format", "text", "output format: text, json, sarif")
 	waiverPath := fs.String("waivers", "", "waiver file (RULE CELL SUBJECT note… per line)")
@@ -496,6 +498,11 @@ func runLint(args []string, out *os.File) error {
 	rep, err := lint.LintLibrary(lib, opt)
 	if err != nil {
 		return err
+	}
+	if opt.Waivers != nil {
+		for _, w := range opt.Waivers.Unused() {
+			fmt.Fprintf(errOut, "%s:%d: unused waiver %s %s %s\n", *waiverPath, w.Line, w.Rule, w.Cell, w.Subject)
+		}
 	}
 	switch *format {
 	case "text":

@@ -26,9 +26,6 @@
 //     keeper detection and internal evaluate-node inventory.
 //   - Latch transparency and same-phase race search over the channel/
 //     gate connectivity graph.
-//   - Clock-phase tags: a fixpoint propagation assigning every net the
-//     set of phase assignments under which it can be actively driven,
-//     derived from clock ports through pass and clocked devices.
 //
 // Everything is deterministic: nodes, groups and paths are visited in
 // index order, and all reported slices are sorted.
@@ -88,7 +85,6 @@ type Analysis struct {
 	dynNodes []DynNode
 	dynHeld  map[netlist.NodeID]*DynNode
 	latches  []LatchInfo
-	tags     []AssignMask
 
 	// channel/gate reverse indexes shared by reachability and race
 	// search.

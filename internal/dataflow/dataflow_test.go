@@ -248,38 +248,6 @@ func TestLatchTransparencyAndRaces(t *testing.T) {
 	}
 }
 
-func TestTagsPropagation(t *testing.T) {
-	// y is driven only through a phi1-gated transmission gate feeding a
-	// buffer: the buffer's output tag must shrink to the phi1=1
-	// assignments even though the buffer itself is unclocked. (y is an
-	// internal gate-read net, not a port — ports pin to the full mask.)
-	c := netlist.New("tags")
-	for _, p := range []string{"in", "phi1", "phi1_n", "z"} {
-		c.DeclarePort(p)
-	}
-	c.NMOS("tn", "phi1", "in", "m", 4, 0.75)
-	c.PMOS("tp", "phi1_n", "in", "m", 4, 0.75)
-	designs.AddInverter(c, "b", "m", "y", 2, 4)
-	designs.AddInverter(c, "b2", "y", "z", 2, 4)
-	a := analyze(t, c)
-	tags := a.Tags()
-	all := a.AllMask()
-	mTag := tags[c.FindNode("m")]
-	if mTag == 0 || mTag == all {
-		t.Fatalf("m tag = %b, want strict subset (driven only while phi1=1)", mTag)
-	}
-	yTag := tags[c.FindNode("y")]
-	if yTag != mTag {
-		t.Errorf("y tag = %b, want propagated %b (gate net m limits the buffer)", yTag, mTag)
-	}
-	if tags[c.FindNode("in")] != all {
-		t.Errorf("port tag shrunk")
-	}
-	if tags[c.FindNode("z")] != all {
-		t.Errorf("port z tag shrunk (ports stay pinned)")
-	}
-}
-
 func TestDegradedBeyondPhaseCap(t *testing.T) {
 	c := netlist.New("many")
 	c.DeclarePort("in")
@@ -300,12 +268,5 @@ func TestDegradedBeyondPhaseCap(t *testing.T) {
 	}
 	if a.LatchRaces() != nil {
 		t.Error("degraded analysis still reports races")
-	}
-	tags := a.Tags()
-	for _, m := range tags {
-		if m != a.AllMask() {
-			t.Error("degraded tags not conservative")
-			break
-		}
 	}
 }

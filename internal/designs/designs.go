@@ -49,15 +49,6 @@ func AddNAND2(c *netlist.Circuit, name, a, b, y string) {
 	c.PMOS(name+"_pb", b, "vdd", y, wStkP, lMin)
 }
 
-// AddNOR2 appends a static 2-input NOR.
-func AddNOR2(c *netlist.Circuit, name, a, b, y string) {
-	mid := name + "_m"
-	c.NMOS(name+"_na", a, "vss", y, wStkN, lMin)
-	c.NMOS(name+"_nb", b, "vss", y, wStkN, lMin)
-	c.PMOS(name+"_pa", a, "vdd", mid, wStkP, lMin)
-	c.PMOS(name+"_pb", b, mid, y, wStkP, lMin)
-}
-
 // AddXOR2 appends a static complementary XOR (y = a ⊕ b) given both
 // polarities of the inputs.
 func AddXOR2(c *netlist.Circuit, name, a, an, b, bn, y string) {

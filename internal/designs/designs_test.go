@@ -323,6 +323,16 @@ func TestAdderRTLComputes(t *testing.T) {
 	}
 }
 
+// AddNOR2 appends a static 2-input NOR, a gate no generator uses but
+// the switch-level and cross-validation tests drive.
+func AddNOR2(c *netlist.Circuit, name, a, b, y string) {
+	mid := name + "_m"
+	c.NMOS(name+"_na", a, "vss", y, wStkN, lMin)
+	c.NMOS(name+"_nb", b, "vss", y, wStkN, lMin)
+	c.PMOS(name+"_pa", a, "vdd", mid, wStkP, lMin)
+	c.PMOS(name+"_pb", b, mid, y, wStkP, lMin)
+}
+
 func TestNOR2Gate(t *testing.T) {
 	c := netListWithPorts("nor2", "a", "b", "y")
 	AddNOR2(c, "g", "a", "b", "y")

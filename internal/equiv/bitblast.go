@@ -33,9 +33,6 @@ import (
 // function per bit, LSB first.
 type bitVec []logic.Expr
 
-// width returns the vector's bit count.
-func (v bitVec) width() int { return len(v) }
-
 // BitVar names the boolean variable for a signal bit. Both the RTL and
 // circuit sides of a comparison must map their inputs into this shared
 // namespace.

@@ -698,8 +698,7 @@ type Experiment struct {
 	Run func() (string, error)
 }
 
-// List holds every experiment in paper order; All and cmd/repro both
-// run from it.
+// List holds every experiment in paper order; cmd/repro runs from it.
 var List = []Experiment{
 	{"t1", func() (string, error) { r, err := Table1(); return report(r, err) }},
 	{"f1", func() (string, error) { r, err := Figure1(); return report(r, err) }},
@@ -715,20 +714,6 @@ var List = []Experiment{
 	{"s6", func() (string, error) { r, err := S6(); return report(r, err) }},
 	{"a1", func() (string, error) { r, err := A1(); return report(r, err) }},
 	{"a2", func() (string, error) { r, err := A2(); return report(r, err) }},
-}
-
-// All runs every experiment and concatenates the reports in paper order.
-func All() (string, error) {
-	var sb strings.Builder
-	for _, e := range List {
-		out, err := e.Run()
-		if err != nil {
-			return sb.String(), fmt.Errorf("%s: %w", strings.ToUpper(e.ID), err)
-		}
-		sb.WriteString(out)
-		sb.WriteString("\n")
-	}
-	return sb.String(), nil
 }
 
 // report extracts the Report field via the small interface each result

@@ -177,6 +177,14 @@ func (r *Result) EffectiveVerdict() checks.Verdict {
 	return r.Report.Verdict
 }
 
+// InspectLoad is the designer inspect load the fleet reports for this
+// item, the counterpart of EffectiveVerdict: the CBV report's own load
+// plus one for each boundary finding hierarchical composition attributes
+// to the cell. Only meaningful when Err is nil.
+func (r *Result) InspectLoad() int {
+	return r.Report.InspectLoad + len(r.extra)
+}
+
 // VerdictString is the item's manifest verdict: the CBV verdict, or
 // "error" when verification failed.
 func (r *Result) VerdictString() string {
@@ -481,7 +489,7 @@ func (r *Report) Text() string {
 			minPeriod = res.ComposedMinPeriodPS
 		}
 		fmt.Fprintf(&sb, "  %-20s %s  %-9s inspect=%-3d races=%-2d min-period=%.0fps\n",
-			res.Name, res.Fingerprint.Short(), res.EffectiveVerdict(), rep.InspectLoad,
+			res.Name, res.Fingerprint.Short(), res.EffectiveVerdict(), res.InspectLoad(),
 			len(rep.Timing.Races), minPeriod)
 	}
 	pass, inspect, violation, failed := r.Counts()

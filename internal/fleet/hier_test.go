@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"os"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -337,5 +339,45 @@ func TestVerifyHierFallbackFlat(t *testing.T) {
 	if rep.Results[0].VerdictString() != flat.Results[0].VerdictString() {
 		t.Fatalf("fallback verdict %s != flat verdict %s",
 			rep.Results[0].VerdictString(), flat.Results[0].VerdictString())
+	}
+}
+
+// TestVerifyHierBoundaryFindings: the top of boundary_fights.sp holds
+// two structurally identical inverter pairs fighting on n1 and n2. The
+// composed cell numbers the repeated boundary finding, so each fight
+// keeps its own ID, and counts both in its inspect load.
+func TestVerifyHierBoundaryFindings(t *testing.T) {
+	const deck = "testdata/boundary_fights.sp"
+	f, err := os.Open(deck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	lib, top, err := HierFromDeck(f, deck, "top")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := VerifyHier(lib, top, Options{Core: coreOpts(), Cache: NewCache(), HierInline: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &rep.Results[len(rep.Results)-1]
+	if res.Subcell != "top" || res.Err != nil {
+		t.Fatalf("last result is %q (err %v), want top", res.Subcell, res.Err)
+	}
+	var ids []string
+	for _, f := range res.Findings() {
+		if f.Source == "boundary" {
+			ids = append(ids, f.ID)
+		}
+	}
+	if len(ids) != 2 || !strings.HasPrefix(ids[0], "boundary/drive-fight@") || ids[1] != ids[0]+"#2" {
+		t.Fatalf("boundary finding IDs = %v, want a bare drive-fight ID and its #2", ids)
+	}
+	if got := res.InspectLoad(); got != 2 || res.Report.InspectLoad != 0 {
+		t.Errorf("InspectLoad() = %d over a scope load of %d, want the 2 boundary findings alone", got, res.Report.InspectLoad)
+	}
+	if !strings.Contains(rep.Text(), " inspect=2 ") {
+		t.Errorf("report text lacks inspect=2:\n%s", rep.Text())
 	}
 }

@@ -94,11 +94,6 @@ func (h *Hierarchy) AddLeaves(block string, leaves ...string) error {
 	return nil
 }
 
-// Block returns a block by name, or nil.
-func (h *Hierarchy) Block(name string) *Block {
-	return h.index[name]
-}
-
 // LeafOwner returns a map leaf → owning block name, validating that each
 // leaf appears exactly once.
 func (h *Hierarchy) LeafOwner() (map[string]string, error) {
@@ -122,20 +117,6 @@ func (h *Hierarchy) LeafOwner() (map[string]string, error) {
 		return nil, err
 	}
 	return owner, nil
-}
-
-// Leaves returns the sorted leaf universe of the hierarchy.
-func (h *Hierarchy) Leaves() []string {
-	owner, err := h.LeafOwner()
-	if err != nil {
-		return nil
-	}
-	out := make([]string, 0, len(owner))
-	for l := range owner {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // OverlapRow describes how one block of hierarchy A spreads over the

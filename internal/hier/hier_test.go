@@ -150,20 +150,6 @@ func TestBuilderErrors(t *testing.T) {
 	if err := h.AddLeaves("nope", "x"); err == nil {
 		t.Error("leaves on unknown block accepted")
 	}
-	if h.Block("a") == nil || h.Block("zz") != nil {
-		t.Error("Block lookup wrong")
-	}
-}
-
-func TestLeavesSorted(t *testing.T) {
-	h := New(ViewRTL, "r")
-	if err := h.AddLeaves("r", "z", "a", "m"); err != nil {
-		t.Fatal(err)
-	}
-	got := h.Leaves()
-	if len(got) != 3 || got[0] != "a" || got[2] != "z" {
-		t.Errorf("Leaves = %v", got)
-	}
 }
 
 func TestViewString(t *testing.T) {

@@ -233,6 +233,8 @@ func BoundaryFindings(c *netlist.Circuit, children map[string]*Interface) ([]obs
 		}
 	}
 	sigs := netlist.ComputeSignatures(c)
+	fights := netlist.NewIDCounter("boundary", "drive-fight")
+	shares := netlist.NewIDCounter("boundary", "charge-share")
 	var out []obs.Finding
 	for i, n := range c.Nodes {
 		id := netlist.NodeID(i)
@@ -249,7 +251,7 @@ func BoundaryFindings(c *netlist.Circuit, children map[string]*Interface) ([]obs
 		switch {
 		case drivers >= 2:
 			out = append(out, obs.Finding{
-				ID:       sigs.FindingID("boundary", "drive-fight", n.Name),
+				ID:       fights.ID(fights.Count(sigs.SubjectSig(n.Name))),
 				Source:   "boundary",
 				Check:    "drive-fight",
 				Subject:  n.Name,
@@ -265,7 +267,7 @@ func BoundaryFindings(c *netlist.Circuit, children map[string]*Interface) ([]obs
 			})
 		case drivers == 0 && childChannels[i] > 0 && (cls[i].Channel || childChannels[i] >= 2):
 			out = append(out, obs.Finding{
-				ID:       sigs.FindingID("boundary", "charge-share", n.Name),
+				ID:       shares.ID(shares.Count(sigs.SubjectSig(n.Name))),
 				Source:   "boundary",
 				Check:    "charge-share",
 				Subject:  n.Name,

@@ -258,17 +258,6 @@ func (r *Report) HasErrors() bool {
 	return e > 0
 }
 
-// ByRule returns unwaived finding counts keyed by rule ID.
-func (r *Report) ByRule() map[string]int {
-	m := make(map[string]int)
-	for _, d := range r.Diags {
-		if !d.Waived {
-			m[d.Rule]++
-		}
-	}
-	return m
-}
-
 // Run lints one flat circuit (instances must be flattened away, as for
 // recognition). The circuit must pass netlist.Validate — lint analyzes
 // structure, it does not repair it.

@@ -98,8 +98,8 @@ func globMatch(pattern, name string) bool {
 	return err == nil && ok
 }
 
-// Unused returns entries that never matched any finding — stale waivers
-// a CI step can flag so suppressions don't outlive their violations.
+// Unused returns entries that never matched any finding — stale waivers,
+// which fcv lint reports so suppressions don't outlive their violations.
 func (w *Waivers) Unused() []*Waiver {
 	var out []*Waiver
 	for _, e := range w.entries {
@@ -109,6 +109,3 @@ func (w *Waivers) Unused() []*Waiver {
 	}
 	return out
 }
-
-// Len returns the number of entries.
-func (w *Waivers) Len() int { return len(w.entries) }

@@ -1,9 +1,6 @@
 package logic
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Ref is a reference to a BDD node within one manager. The constants
 // RefFalse and RefTrue are the terminal nodes; all other refs index the
@@ -90,10 +87,6 @@ func (b *BDD) Var(name string) Ref {
 	}
 	return b.mk(idx, RefFalse, RefTrue)
 }
-
-// Size returns the number of decision nodes allocated (excluding
-// terminals) — the usual BDD cost metric.
-func (b *BDD) Size() int { return len(b.nodes) - 2 }
 
 // level returns the variable level of a ref; terminals sort below all
 // variables.
@@ -269,9 +262,6 @@ func (b *BDD) Xor(fs ...Ref) Ref {
 	return r
 }
 
-// Implies returns f → g.
-func (b *BDD) Implies(f, g Ref) Ref { return b.Ite(f, g, RefTrue) }
-
 // FromExpr builds the BDD of an expression.
 func (b *BDD) FromExpr(e Expr) Ref {
 	switch v := e.(type) {
@@ -301,55 +291,6 @@ func (b *BDD) FromExpr(e Expr) Ref {
 	panic(fmt.Sprintf("logic: unknown expression type %T", e))
 }
 
-// Eval evaluates f under an assignment. Unassigned variables read false.
-func (b *BDD) Eval(f Ref, env map[string]bool) bool {
-	for f != RefTrue && f != RefFalse {
-		n := b.nodes[f]
-		if env[b.vars[n.level]] {
-			f = n.hi
-		} else {
-			f = n.lo
-		}
-	}
-	return f == RefTrue
-}
-
-// SatCount returns the number of satisfying assignments of f over all
-// registered variables.
-func (b *BDD) SatCount(f Ref) float64 {
-	memo := make(map[Ref]float64)
-	var count func(r Ref, level int32) float64
-	count = func(r Ref, level int32) float64 {
-		if r == RefFalse {
-			return 0
-		}
-		nvars := int32(len(b.vars))
-		if r == RefTrue {
-			return pow2(nvars - level)
-		}
-		n := b.nodes[r]
-		key := r
-		var base float64
-		if v, ok := memo[key]; ok {
-			base = v
-		} else {
-			base = count(n.lo, n.level+1) + count(n.hi, n.level+1)
-			memo[key] = base
-		}
-		return base * pow2(n.level-level)
-	}
-	return count(f, 0)
-}
-
-// pow2 returns 2^n as a float64 for nonnegative n.
-func pow2(n int32) float64 {
-	v := 1.0
-	for i := int32(0); i < n; i++ {
-		v *= 2
-	}
-	return v
-}
-
 // AnySat returns one satisfying assignment of f (over the variables on
 // the satisfying path; others are unconstrained) or nil if unsatisfiable.
 func (b *BDD) AnySat(f Ref) map[string]bool {
@@ -368,30 +309,6 @@ func (b *BDD) AnySat(f Ref) map[string]bool {
 		}
 	}
 	return env
-}
-
-// Support returns the sorted names of variables f actually depends on.
-func (b *BDD) Support(f Ref) []string {
-	seen := make(map[Ref]bool)
-	vars := make(map[string]bool)
-	var walk func(Ref)
-	walk = func(r Ref) {
-		if r == RefTrue || r == RefFalse || seen[r] {
-			return
-		}
-		seen[r] = true
-		n := b.nodes[r]
-		vars[b.vars[n.level]] = true
-		walk(n.lo)
-		walk(n.hi)
-	}
-	walk(f)
-	out := make([]string, 0, len(vars))
-	for v := range vars {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Restrict returns f with the named variable fixed to val.
@@ -427,26 +344,4 @@ func (b *BDD) restrict(r Ref, idx int32, val bool, pass uint32) Ref {
 	}
 	b.visit[r] = visitEntry{pass, out}
 	return out
-}
-
-// Exists returns ∃name. f — the disjunction of both restrictions.
-func (b *BDD) Exists(f Ref, name string) Ref {
-	return b.Or(b.Restrict(f, name, false), b.Restrict(f, name, true))
-}
-
-// ExistsAll quantifies out every name in names.
-func (b *BDD) ExistsAll(f Ref, names []string) Ref {
-	for _, n := range names {
-		f = b.Exists(f, n)
-	}
-	return f
-}
-
-// Compose substitutes function g for variable name inside f.
-func (b *BDD) Compose(f Ref, name string, g Ref) Ref {
-	v := b.Var(name)
-	// f[name := g] = ite(g, f|name=1, f|name=0); v is only used to
-	// ensure registration.
-	_ = v
-	return b.Ite(g, b.Restrict(f, name, true), b.Restrict(f, name, false))
 }

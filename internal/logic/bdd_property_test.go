@@ -168,5 +168,5 @@ func TestBDDKernelMatchesTruthTables(t *testing.T) {
 		}
 		seen[tables[r]] = r
 	}
-	t.Logf("%d refs, %d distinct functions, %d nodes, %d unique / %d memo slots", len(all), len(seen), m.Size(), len(m.unique), len(m.memo))
+	t.Logf("%d refs, %d distinct functions, %d nodes, %d unique / %d memo slots", len(all), len(seen), len(m.nodes)-2, len(m.unique), len(m.memo))
 }

@@ -222,9 +222,6 @@ func nary(op Op, xs []Expr) Expr {
 	return &NaryExpr{op, out}
 }
 
-// Implies returns x → y.
-func Implies(x, y Expr) Expr { return Or(Not(x), y) }
-
 // Ite returns if-then-else: c&t | !c&e.
 func Ite(c, t, e Expr) Expr { return Or(And(c, t), And(Not(c), e)) }
 
@@ -251,9 +248,6 @@ func Equivalent(a, b Expr) bool {
 	}
 	return m.FromExpr(a) == m.FromExpr(b)
 }
-
-// Tautology reports whether e is true for every assignment.
-func Tautology(e Expr) bool { return Equivalent(e, True) }
 
 // Satisfiable reports whether e is true for some assignment.
 func Satisfiable(e Expr) bool { return !Equivalent(e, False) }

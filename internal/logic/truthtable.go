@@ -6,9 +6,9 @@ import (
 )
 
 // TruthTable is the exhaustive function table of a small boolean function
-// (up to 20 inputs). It is the recognizer's canonical "name" for a
-// deduced circuit function: two channel-connected components implement
-// the same logic iff their tables over the same ordered inputs are equal.
+// (up to 20 inputs). It is the test oracle of the BDD kernel and of
+// recognition's output flags: a table is computed by evaluating the
+// expression row by row, with no BDD involved.
 type TruthTable struct {
 	// Inputs is the ordered input names.
 	Inputs []string
@@ -47,60 +47,6 @@ func (t *TruthTable) Rows() int { return 1 << len(t.Inputs) }
 
 // Get returns the output for assignment index i.
 func (t *TruthTable) Get(i int) bool { return t.Bits[i/64]&(1<<(i%64)) != 0 }
-
-// Equal reports whether two tables are the same function over the same
-// ordered inputs.
-func (t *TruthTable) Equal(o *TruthTable) bool {
-	if len(t.Inputs) != len(o.Inputs) {
-		return false
-	}
-	for i := range t.Inputs {
-		if t.Inputs[i] != o.Inputs[i] {
-			return false
-		}
-	}
-	for i := range t.Bits {
-		if t.Bits[i] != o.Bits[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Key returns a compact string fingerprint usable as a map key (inputs
-// are not included — use for shape classification).
-func (t *TruthTable) Key() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d:", len(t.Inputs))
-	for _, w := range t.Bits {
-		fmt.Fprintf(&sb, "%016x", w)
-	}
-	return sb.String()
-}
-
-// OnesCount returns the number of true rows.
-func (t *TruthTable) OnesCount() int {
-	n := 0
-	for i := 0; i < t.Rows(); i++ {
-		if t.Get(i) {
-			n++
-		}
-	}
-	return n
-}
-
-// IsConstant reports whether the function ignores its inputs, and which
-// constant it is.
-func (t *TruthTable) IsConstant() (bool, bool) {
-	ones := t.OnesCount()
-	switch ones {
-	case 0:
-		return true, false
-	case t.Rows():
-		return true, true
-	}
-	return false, false
-}
 
 // String renders the table with one row per assignment, LSB-first inputs.
 func (t *TruthTable) String() string {

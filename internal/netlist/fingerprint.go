@@ -60,10 +60,9 @@ type refined struct {
 // labels; it is the shared engine of Fingerprint, Signatures and the
 // hierarchical hashes. When instLabels is nil each instance seeds from
 // its cell *name* (the flat Fingerprint contract: a renamed child cell
-// changes the parent hash). Callers that know more about the children —
-// the hierarchical DAG fingerprint seeds each instance with the child's
-// own composed fingerprint, CellFingerprint seeds all instances with
-// one neutral constant — pass len(c.Instances) labels instead.
+// changes the parent hash). The hierarchical DAG fingerprint, which
+// seeds each instance with the child's own composed fingerprint, passes
+// len(c.Instances) labels instead.
 func (c *Circuit) refineLabels(instLabels []uint64) refined {
 	// Initial node labels: electrical invariants only — never the name,
 	// except the canonical supply identity (vdd and vss are global
@@ -246,21 +245,13 @@ func (c *Circuit) refineLabels(instLabels []uint64) refined {
 // supply identity. Instance connections hash positionally against the
 // referenced cell *name*, so two instances of differently-named but
 // identical cells hash differently. For a name-invariant hierarchical
-// hash use the per-cell/DAG contract instead: CellFingerprint hashes a
-// cell's local structure with instance identities neutralized (child
-// edits don't move it), and Library.HierFingerprint composes each
-// cell's local hash with its children's DAG hashes and its port
-// boundary signature — rename/reorder-invariant like Fingerprint, but a
-// one-leaf edit moves only that leaf's hash and the hashes on its path
-// to the root.
+// hash use Library.HierFingerprint instead: it composes each cell's
+// local structure with its children's DAG hashes and its port boundary
+// signature — rename/reorder-invariant like Fingerprint, but a one-leaf
+// edit moves only that leaf's hash and the hashes on its path to the
+// root.
 func (c *Circuit) Fingerprint() Fingerprint {
-	return c.fingerprintWith(nil)
-}
-
-// fingerprintWith is Fingerprint over refineLabels(instLabels): the
-// digest of the converged label multisets with explicit instance seeds.
-func (c *Circuit) fingerprintWith(instLabels []uint64) Fingerprint {
-	return c.refineLabels(instLabels).digest()
+	return c.refineLabels(nil).digest()
 }
 
 // digest collapses a refinement result into the 256-bit hash: the

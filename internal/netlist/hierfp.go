@@ -4,18 +4,12 @@
 // The flat Fingerprint hashes instance connections against the child
 // cell's *name*, so any edit anywhere in the hierarchy (or a mere cell
 // rename) moves the top-level hash and cold-misses every cache.
-// This file instead gives every cell two hashes:
-//
-//   - Local (CellFingerprint): the cell's own devices, resistors, nodes
-//     and instance *topology*, with every instance identity replaced by
-//     one neutral constant. Editing a child cell — or renaming it —
-//     never moves a parent's Local hash.
-//   - DAG: the refinement of the cell's local structure with each
-//     instance seeded by its child's DAG hash, mixed with the cell's
-//     boundary (port interface) signature. Content-identical
-//     hierarchies hash identically regardless of cell names or element
-//     order, and a one-leaf edit moves only that leaf's DAG hash and
-//     the DAG hashes on its path to the root.
+// This file instead gives every cell a DAG hash: the refinement of the
+// cell's local structure with each instance seeded by its child's DAG
+// hash, mixed with the cell's boundary (port interface) signature.
+// Content-identical hierarchies hash identically regardless of cell
+// names or element order, and a one-leaf edit moves only that leaf's
+// DAG hash and the DAG hashes on its path to the root.
 //
 // The verification fleet keys subcell cache entries on DAG hashes: a
 // warm re-verify after a leaf edit recomputes exactly the edited cell
@@ -31,43 +25,9 @@ import (
 	"sync"
 )
 
-// fpNeutralInst is the neutral instance seed CellFingerprint uses in
-// place of child identities (an arbitrary odd 64-bit constant, distinct
-// from every fpString image with overwhelming probability).
-const fpNeutralInst = 0xc3a5c85c97cb3127
-
 // hierFPVersion salts the DAG composition digest so any change to the
 // composition rule invalidates previously cached hashes.
 const hierFPVersion = "fcv-hierfp/v1"
-
-// CellFingerprint computes the cell-local structural hash: like
-// Fingerprint, but with every instance's identity replaced by a neutral
-// constant, so only the cell's own content and its instance topology
-// (count, connectivity, port positions) matter. Renaming or editing a
-// child cell leaves it unchanged; for a cell with no instances it
-// equals Fingerprint.
-func (c *Circuit) CellFingerprint() Fingerprint {
-	return c.fingerprintWith(neutralInstLabels(c))
-}
-
-// BoundarySignature hashes the cell's port interface: the refined
-// structural labels of its port nodes in declaration order (the order
-// instance connections bind to). Two cells with interchangeable
-// interfaces share it; adding, removing, reordering or re-typing a port
-// changes it.
-func (c *Circuit) BoundarySignature() uint64 {
-	return boundaryFold(c, c.refineLabels(neutralInstLabels(c)))
-}
-
-// neutralInstLabels returns the all-neutral instance seed vector (non-
-// nil even when empty, so refineLabels takes the explicit-label path).
-func neutralInstLabels(c *Circuit) []uint64 {
-	labels := make([]uint64, len(c.Instances))
-	for i := range labels {
-		labels[i] = fpNeutralInst
-	}
-	return labels
-}
 
 // boundaryFold folds the refined port labels in declaration order.
 func boundaryFold(c *Circuit, r refined) uint64 {
@@ -88,9 +48,7 @@ func fpFold(f Fingerprint) uint64 {
 }
 
 // CellInfo is one cell's entry in the hierarchical fingerprint DAG.
-// The child-edit-invariant local hash is available on demand via
-// Circuit.CellFingerprint; the DAG only needs the composed hash, so
-// building it costs a single refinement per cell.
+// Building it costs a single refinement per cell.
 type CellInfo struct {
 	Name        string
 	DAG         Fingerprint // composed local structure + children DAGs + boundary
@@ -110,9 +68,6 @@ type HierFP struct {
 	Order []string
 	Cells map[string]*CellInfo
 }
-
-// Info returns the entry for cell name, or nil.
-func (h *HierFP) Info(name string) *CellInfo { return h.Cells[name] }
 
 // HierFPMemo caches per-cell DAG results across HierFingerprint calls.
 // A cell's (DAG, Boundary) pair is a pure function of its raw structure

@@ -36,21 +36,6 @@ func hierLib(tweak float64) *Library {
 	return lib
 }
 
-// TestCellFingerprintGolden pins the hash of a fixed circuit: any
-// change here invalidates every hierarchically keyed cache in the wild,
-// and must be deliberate (bump hierFPVersion alongside it).
-func TestCellFingerprintGolden(t *testing.T) {
-	lib := hierLib(0)
-	const wantLeaf = "802fde0d95345bba3d1baca1e5d9355a0414a2bd11054893f954c656a94dea5f"
-	const wantMid = "0d18d719926bd0b3890e4a2ed7f29488fe2e45c3da805a3acaec5da0855e10db"
-	if got := lib.Cell("leaf").CellFingerprint().String(); got != wantLeaf {
-		t.Errorf("leaf CellFingerprint = %s, want %s", got, wantLeaf)
-	}
-	if got := lib.Cell("mid").CellFingerprint().String(); got != wantMid {
-		t.Errorf("mid CellFingerprint = %s, want %s", got, wantMid)
-	}
-}
-
 // TestHierFingerprintGolden pins a DAG hash end to end.
 func TestHierFingerprintGolden(t *testing.T) {
 	lib := hierLib(0)
@@ -61,44 +46,6 @@ func TestHierFingerprintGolden(t *testing.T) {
 	const wantTop = "1f78da1f939de5c376687e9f75af4f7ab97600249e49214d35a2ec2f30a3e988"
 	if got := hfp.Cells["top"].DAG.String(); got != wantTop {
 		t.Errorf("top DAG = %s, want %s", got, wantTop)
-	}
-}
-
-// TestCellFingerprintChildEditInvariance: editing or renaming a child
-// cell never moves the parent's CellFingerprint, while the flat
-// Fingerprint moves on a rename.
-func TestCellFingerprintChildEditInvariance(t *testing.T) {
-	a, b := hierLib(0), hierLib(0.5)
-	if got, want := b.Cell("mid").CellFingerprint(), a.Cell("mid").CellFingerprint(); got != want {
-		t.Error("leaf edit moved mid's CellFingerprint")
-	}
-	// Rename the leaf cell (and references) in b.
-	c := hierLib(0)
-	c.Cell("leaf").Name = "blatt"
-	renamed := NewLibrary()
-	for _, name := range c.Cells() {
-		cell := c.Cell(name)
-		for _, inst := range cell.Instances {
-			if inst.Cell == "leaf" {
-				inst.Cell = "blatt"
-			}
-		}
-		renamed.Add(cell)
-	}
-	if renamed.Cell("mid").CellFingerprint() != a.Cell("mid").CellFingerprint() {
-		t.Error("child rename moved mid's CellFingerprint")
-	}
-	if a.Cell("mid").Fingerprint() == renamed.Cell("mid").Fingerprint() {
-		t.Error("flat Fingerprint ignored the child rename (it hashes the cell name)")
-	}
-}
-
-// TestCellFingerprintEqualsFingerprintForLeaves: instance-free cells
-// hash identically under both contracts.
-func TestCellFingerprintEqualsFingerprintForLeaves(t *testing.T) {
-	leaf := hierLib(0).Cell("leaf")
-	if leaf.CellFingerprint() != leaf.Fingerprint() {
-		t.Error("leaf CellFingerprint != Fingerprint")
 	}
 }
 
@@ -180,8 +127,8 @@ func TestHierFingerprintRenameInvariance(t *testing.T) {
 }
 
 // TestBoundarySignaturePortOrder: port declaration order is part of the
-// boundary (instance connections bind positionally) but not of the
-// cell-local structure hash.
+// boundary (instance connections bind positionally) but not of the flat
+// structural Fingerprint.
 func TestBoundarySignaturePortOrder(t *testing.T) {
 	mk := func(order []string) *Circuit {
 		c := New("cell")
@@ -194,13 +141,11 @@ func TestBoundarySignaturePortOrder(t *testing.T) {
 	}
 	ab := mk([]string{"a", "y"})
 	ba := mk([]string{"y", "a"})
-	if ab.BoundarySignature() == ba.BoundarySignature() {
-		t.Error("port reorder did not change BoundarySignature")
+	if ab.Fingerprint() != ba.Fingerprint() {
+		t.Error("port reorder changed Fingerprint (declaration order is not structure)")
 	}
-	if ab.CellFingerprint() != ba.CellFingerprint() {
-		t.Error("port reorder changed CellFingerprint (declaration order is not structure)")
-	}
-	// And the DAG hash must see the reorder (callers bind positionally).
+	// The boundary signature and the DAG hash must see the reorder
+	// (callers bind positionally).
 	la, lb := NewLibrary(), NewLibrary()
 	la.Add(ab)
 	lb.Add(ba)
@@ -211,6 +156,9 @@ func TestBoundarySignaturePortOrder(t *testing.T) {
 	hB, err := lb.HierFingerprint(ba)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if hA.Cells["cell"].Boundary == hB.Cells["cell"].Boundary {
+		t.Error("port reorder did not change the boundary signature")
 	}
 	if hA.Cells["cell"].DAG == hB.Cells["cell"].DAG {
 		t.Error("port reorder did not change the DAG hash")

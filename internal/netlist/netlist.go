@@ -316,49 +316,6 @@ func (c *Circuit) AddInstance(name, cell string, conns ...string) *Instance {
 	return inst
 }
 
-// TotalWidth returns the summed channel width of all devices, a standard
-// area/power proxy.
-func (c *Circuit) TotalWidth() float64 {
-	var w float64
-	for _, d := range c.Devices {
-		w += d.W
-	}
-	return w
-}
-
-// Stats summarizes a circuit for reports.
-type Stats struct {
-	Name      string
-	Nodes     int
-	Devices   int
-	NMOS      int
-	PMOS      int
-	Resistors int
-	Instances int
-	TotalW    float64
-}
-
-// Stats returns summary statistics for the circuit (local level only;
-// flatten first for whole-design numbers).
-func (c *Circuit) Stats() Stats {
-	s := Stats{
-		Name:      c.Name,
-		Nodes:     len(c.Nodes),
-		Devices:   len(c.Devices),
-		Resistors: len(c.Resistors),
-		Instances: len(c.Instances),
-		TotalW:    c.TotalWidth(),
-	}
-	for _, d := range c.Devices {
-		if d.Type == process.NMOS {
-			s.NMOS++
-		} else {
-			s.PMOS++
-		}
-	}
-	return s
-}
-
 // Validate checks structural sanity: terminal IDs in range, positive
 // geometry, unique device names, no fully self-connected devices, ports
 // marked. Errors cite the deck file:line when the element carries one.

@@ -83,17 +83,6 @@ func TestDeviceQueries(t *testing.T) {
 	if got := len(adj.Channel(a)); got != 0 {
 		t.Errorf("Channel(a) = %d devices, want 0", got)
 	}
-	if w := c.TotalWidth(); w != 6 {
-		t.Errorf("TotalWidth = %g, want 6", w)
-	}
-}
-
-func TestStats(t *testing.T) {
-	c := inv(t)
-	s := c.Stats()
-	if s.Devices != 2 || s.NMOS != 1 || s.PMOS != 1 || s.TotalW != 6 {
-		t.Errorf("stats = %+v", s)
-	}
 }
 
 func TestValidateCatchesErrors(t *testing.T) {

@@ -80,18 +80,6 @@ func (s *Signatures) SubjectSig(subject string) uint64 {
 	return fpMix(fpString(subject), 7)
 }
 
-// FindingID builds the stable finding identifier
-// "<source>/<check>@<16-hex>" from the check identity and the subject's
-// structural signature. Two findings of the same check on structurally
-// identical places share an ID (an IDCounter numbers the symmetric
-// copies); renaming nodes or reordering the deck never changes it,
-// while a W/L, model or connectivity change within the refinement
-// horizon does.
-func (s *Signatures) FindingID(source, check, subject string) string {
-	prefix := source + "/" + check
-	return formatID(prefix, fpMix(fpString(prefix), s.SubjectSig(subject)), 1)
-}
-
 // StringID builds a finding identifier from a plain string subject with
 // no structural resolution — for findings about a whole item (a
 // verification error, a missing corpus member) where the carrier is the
@@ -102,9 +90,13 @@ func StringID(source, check, subject string) string {
 }
 
 // IDCounter numbers the finding IDs of one source and check in the
-// order the findings are counted. Structurally symmetric findings (two
-// identical inverters with the same defect) share a base ID, the
-// FindingID of their subject; the first keeps it bare and later ones
+// order the findings are counted. An ID is
+// "<source>/<check>@<16-hex>", a hash of the check identity and the
+// subject's structural signature (SubjectSig), so renaming nodes or
+// reordering the deck never changes it, while a W/L, model or
+// connectivity change within the refinement horizon does.
+// Structurally symmetric findings (two identical inverters with the
+// same defect) share a base ID; the first keeps it bare and later ones
 // get "#2", "#3", …, which keeps the rows distinct while the ID
 // multiset stays rename-invariant. The counting order must be
 // deterministic, and every finding must be counted, also one that is

@@ -42,6 +42,13 @@ func sigChain(names [4]string, reversed bool, w2 float64) *Circuit {
 	return c
 }
 
+// firstID is the ID an IDCounter gives the first finding of source and
+// check on subject.
+func firstID(s *Signatures, source, check, subject string) string {
+	k := NewIDCounter(source, check)
+	return k.ID(k.Count(s.SubjectSig(subject)))
+}
+
 // TestSignaturesRenameInvariant: renaming nodes and reversing device
 // order maps corresponding subjects to identical signatures and IDs.
 func TestSignaturesRenameInvariant(t *testing.T) {
@@ -53,8 +60,8 @@ func TestSignaturesRenameInvariant(t *testing.T) {
 		if sa.SubjectSig(p[0]) != sb.SubjectSig(p[1]) {
 			t.Errorf("node %s vs %s: signatures differ", p[0], p[1])
 		}
-		ia := sa.FindingID("check", "edge-rate", p[0])
-		ib := sb.FindingID("check", "edge-rate", p[1])
+		ia := firstID(sa, "check", "edge-rate", p[0])
+		ib := firstID(sb, "check", "edge-rate", p[1])
 		if ia != ib {
 			t.Errorf("finding IDs differ under rename: %s vs %s", ia, ib)
 		}
@@ -73,7 +80,7 @@ func TestSignaturesSizingSensitive(t *testing.T) {
 	if a.SubjectSig("n2") == b.SubjectSig("n2") {
 		t.Error("driven-node signature unchanged by W change")
 	}
-	if a.FindingID("check", "beta-ratio", "n2") == b.FindingID("check", "beta-ratio", "n2") {
+	if firstID(a, "check", "beta-ratio", "n2") == firstID(b, "check", "beta-ratio", "n2") {
 		t.Error("finding ID unchanged by W change")
 	}
 }
@@ -85,23 +92,23 @@ func TestSignaturesDistinguishSubjects(t *testing.T) {
 	s := ComputeSignatures(sigChain([4]string{"in", "n1", "n2", "out"}, false, 2))
 	ids := map[string]bool{}
 	for _, subj := range []string{"in", "n1", "n2", "out", "mn1", "mp1", "no-such-name"} {
-		id := s.FindingID("check", "coupling", subj)
+		id := firstID(s, "check", "coupling", subj)
 		if ids[id] {
 			t.Errorf("duplicate ID %s for subject %s", id, subj)
 		}
 		ids[id] = true
 	}
-	if s.FindingID("check", "coupling", "n1") == s.FindingID("check", "edge-rate", "n1") {
+	if firstID(s, "check", "coupling", "n1") == firstID(s, "check", "edge-rate", "n1") {
 		t.Error("check name not part of the ID")
 	}
-	if s.FindingID("check", "coupling", "n1") == s.FindingID("lint", "coupling", "n1") {
+	if firstID(s, "check", "coupling", "n1") == firstID(s, "lint", "coupling", "n1") {
 		t.Error("source not part of the ID")
 	}
 }
 
 // TestIDCounter: the counter numbers repeats of a base ID in counting
-// order, counts a finding it never names, renders the first finding on a
-// base as FindingID does, and starts over on Reset.
+// order, counts a finding it never names, keeps the first finding on a
+// base bare, and starts over on Reset as a fresh counter would.
 func TestIDCounter(t *testing.T) {
 	s := ComputeSignatures(sigChain([4]string{"in", "n1", "n2", "out"}, false, 2))
 	k := NewIDCounter("check", "edge-rate")
@@ -113,7 +120,10 @@ func TestIDCounter(t *testing.T) {
 		}
 		got = append(got, k.ID(base, n))
 	}
-	a, b := s.FindingID("check", "edge-rate", "n1"), s.FindingID("check", "edge-rate", "n2")
+	a, b := got[0], got[1]
+	if a == b || !strings.HasPrefix(a, "check/edge-rate@") || strings.Contains(a+b, "#") {
+		t.Fatalf("first IDs on two bases = %s, %s; want two distinct bare check/edge-rate IDs", a, b)
+	}
 	want := []string{a, b, a + "#2", b + "#2", a + "#4"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("IDs = %v, want %v", got, want)
@@ -124,8 +134,9 @@ func TestIDCounter(t *testing.T) {
 		}
 	}
 	k.Reset("lint", "FCV001")
-	if base, n := k.Count(s.SubjectSig("n1")); n != 1 || k.ID(base, n) != s.FindingID("lint", "FCV001", "n1") {
-		t.Errorf("after Reset: count %d, ID %s, want 1 and %s", n, k.ID(base, n), s.FindingID("lint", "FCV001", "n1"))
+	fresh := NewIDCounter("lint", "FCV001")
+	if base, n := k.Count(s.SubjectSig("n1")); n != 1 || k.ID(base, n) != fresh.ID(fresh.Count(s.SubjectSig("n1"))) {
+		t.Errorf("after Reset: count %d, ID %s, want 1 and a fresh counter's ID", n, k.ID(base, n))
 	}
 }
 

@@ -31,23 +31,6 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("spice: line %d: %s", e.Line, e.Msg)
 }
 
-// Parse reads a SPICE-subset deck and returns a library of the
-// subcircuits it defines plus a top-level circuit holding any elements
-// outside .subckt blocks (named "top"). Supported cards:
-//
-//	.subckt NAME port...  /  .ends
-//	Mname drain gate source bulk {nmos|pmos} w=.. l=.. [extral=..] [vt={svt|lvt|hvt}]
-//	Cname node node value          (farads with suffixes, or fF with "f" ambiguity resolved as femto)
-//	Rname node node value
-//	Xname node... CELLNAME
-//	*attr node key=value           (node attribute annotation comment)
-//
-// Continuation lines start with "+". Comments start with "*" or ";"
-// (except the *attr form). Names are case-preserved except supplies.
-func Parse(r io.Reader) (*Library, *Circuit, error) {
-	return ParseNamed(r, "")
-}
-
 // ParseFile parses a deck from disk. Elements record the path and line
 // they came from, so downstream diagnostics (lint, Validate) can point
 // back into the deck.
@@ -60,8 +43,22 @@ func ParseFile(path string) (*Library, *Circuit, error) {
 	return ParseNamed(f, path)
 }
 
-// ParseNamed is Parse with a source name recorded on every element's Loc
-// (pass "" for an anonymous deck; line numbers are still recorded).
+// ParseNamed reads a SPICE-subset deck and returns a library of the
+// subcircuits it defines plus a top-level circuit holding any elements
+// outside .subckt blocks (named "top"). Supported cards:
+//
+//	.subckt NAME port...  /  .ends
+//	Mname drain gate source bulk {nmos|pmos} w=.. l=.. [extral=..] [vt={svt|lvt|hvt}]
+//	Cname node node value          (farads with suffixes, or fF with "f" ambiguity resolved as femto)
+//	Rname node node value
+//	Xname node... CELLNAME
+//	*attr node key=value           (node attribute annotation comment)
+//
+// Continuation lines start with "+". Comments start with "*" or ";"
+// (except the *attr form). Names are case-preserved except supplies.
+//
+// srcName is recorded on every element's Loc (pass "" for an anonymous
+// deck; line numbers are still recorded).
 //
 // The deck is read in one pass. Continuation lines are joined into one
 // reused buffer and each logical line becomes one string, so every name

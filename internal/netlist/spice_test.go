@@ -2,12 +2,18 @@ package netlist
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/process"
 )
+
+// Parse is ParseNamed for an anonymous deck.
+func Parse(r io.Reader) (*Library, *Circuit, error) {
+	return ParseNamed(r, "")
+}
 
 const sampleDeck = `
 * sample deck

@@ -106,9 +106,6 @@ func New() *Collector {
 	}
 }
 
-// Enabled reports whether telemetry is being collected (c non-nil).
-func (c *Collector) Enabled() bool { return c != nil }
-
 // Span is one named interval in the trace tree. A nil *Span no-ops
 // every method, so spans can be threaded through options structs
 // unconditionally.
@@ -190,14 +187,6 @@ func (s *Span) Duration() time.Duration {
 		return s.dur
 	}
 	return time.Since(s.c.base) - s.start
-}
-
-// Name returns the span's label ("" on nil).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
 }
 
 // Collector returns the span's owning collector (nil on nil), so

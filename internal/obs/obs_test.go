@@ -12,9 +12,6 @@ import (
 // instrumented code needs no telemetry branches.
 func TestNilCollectorIsNoop(t *testing.T) {
 	var c *Collector
-	if c.Enabled() {
-		t.Error("nil collector claims Enabled")
-	}
 	sp := c.Start("x")
 	if sp != nil {
 		t.Fatalf("nil collector Start returned %v", sp)
@@ -29,9 +26,6 @@ func TestNilCollectorIsNoop(t *testing.T) {
 	}
 	if d := sp.Duration(); d != 0 {
 		t.Errorf("nil span Duration = %v", d)
-	}
-	if n := sp.Name(); n != "" {
-		t.Errorf("nil span Name = %q", n)
 	}
 	if sp.Collector() != nil {
 		t.Error("nil span has a collector")

@@ -176,7 +176,8 @@ func (g *DistributedGate) ModelErrorPS() (lumped, distributed, errPS float64, er
 	return lumped, distributed, distributed - lumped, nil
 }
 
-// addDelayedStep is AddStep with a turn-on delay.
+// addDelayedStep drives a node through a source resistance with a
+// voltage step from v0 to v1 at delayPS.
 func (n *Network) addDelayedStep(name string, ohm, v0, v1, delayPS float64) error {
 	if ohm <= 0 {
 		return fmt.Errorf("parasitics: source resistance must be positive")

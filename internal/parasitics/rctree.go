@@ -22,10 +22,7 @@
 //     it is, so we use the same trick to calibrate pessimism).
 package parasitics
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Coupling is a capacitive coupling from a tree node to an aggressor net.
 type Coupling struct {
@@ -94,28 +91,6 @@ func (t *Tree) AddCap(name string, capFF float64) error {
 	return nil
 }
 
-// AddCoupling adds a coupling capacitance from a node to an aggressor.
-func (t *Tree) AddCoupling(name, aggressor string, capFF float64) error {
-	i, ok := t.index[name]
-	if !ok {
-		return fmt.Errorf("parasitics: unknown node %q", name)
-	}
-	t.nodes[i].Couplings = append(t.nodes[i].Couplings, Coupling{aggressor, capFF})
-	return nil
-}
-
-// Len returns the number of nodes.
-func (t *Tree) Len() int { return len(t.nodes) }
-
-// Names returns the node names in index order.
-func (t *Tree) Names() []string {
-	out := make([]string, len(t.nodes))
-	for i, n := range t.nodes {
-		out[i] = n.Name
-	}
-	return out
-}
-
 // MillerRange bounds the effective multiplier on coupling capacitance.
 // A quiet aggressor contributes 1×; an aggressor switching the same way
 // contributes as little as 0×; an aggressor switching opposite
@@ -136,9 +111,6 @@ type Bounds struct {
 	Min, Max float64
 }
 
-// Width returns Max-Min.
-func (b Bounds) Width() float64 { return b.Max - b.Min }
-
 // NodeCapBounds returns the min/max effective capacitance in fF at one
 // node: grounded cap (with manufacturing tolerance mfgTol, e.g. 0.15 for
 // ±15%) plus coupling scaled by the Miller window and tolerance.
@@ -152,23 +124,6 @@ func (t *Tree) NodeCapBounds(i int, m MillerRange, mfgTol float64) Bounds {
 		Min: (n.CapFF + couple*m.Min) * (1 - mfgTol),
 		Max: (n.CapFF + couple*m.Max) * (1 + mfgTol),
 	}
-}
-
-// TotalCapBounds returns min/max total capacitance of the tree in fF.
-func (t *Tree) TotalCapBounds(m MillerRange, mfgTol float64) Bounds {
-	var b Bounds
-	for i := range t.nodes {
-		nb := t.NodeCapBounds(i, m, mfgTol)
-		b.Min += nb.Min
-		b.Max += nb.Max
-	}
-	return b
-}
-
-// TotalCap returns the nominal total capacitance (quiet aggressors, no
-// tolerance) in fF.
-func (t *Tree) TotalCap() float64 {
-	return t.TotalCapBounds(QuietMiller, 0).Max
 }
 
 // ElmorePS returns the Elmore delay in picoseconds from a driver with
@@ -255,52 +210,4 @@ func Line(n int, totalROhm, totalCapFF float64) (*Tree, error) {
 		prev = name
 	}
 	return t, nil
-}
-
-// WorstSink returns the name of the sink with the largest nominal Elmore
-// delay from the root (ties broken by index order).
-func (t *Tree) WorstSink(rDrvOhm float64) (string, float64) {
-	worst, wd := t.nodes[0].Name, 0.0
-	for _, n := range t.nodes {
-		if len(n.children) > 0 {
-			continue
-		}
-		d, err := t.ElmorePS(rDrvOhm, n.Name)
-		if err == nil && d > wd {
-			worst, wd = n.Name, d
-		}
-	}
-	return worst, wd
-}
-
-// EffectiveRes returns the total path resistance in Ω from root to sink.
-func (t *Tree) EffectiveRes(sink string) (float64, error) {
-	si, ok := t.index[sink]
-	if !ok {
-		return 0, fmt.Errorf("parasitics: unknown sink %q", sink)
-	}
-	r := 0.0
-	for i := si; i > 0; i = t.nodes[i].parent {
-		r += t.nodes[i].rOhm
-	}
-	return r, nil
-}
-
-// Validate checks tree invariants (indices, non-negative values).
-func (t *Tree) Validate() error {
-	for i, n := range t.nodes {
-		if i == 0 && n.parent != -1 {
-			return fmt.Errorf("parasitics: root has a parent")
-		}
-		if i > 0 && (n.parent < 0 || n.parent >= i) {
-			return fmt.Errorf("parasitics: node %s has invalid parent %d", n.Name, n.parent)
-		}
-		if n.CapFF < 0 || n.rOhm < 0 {
-			return fmt.Errorf("parasitics: node %s has negative R/C", n.Name)
-		}
-		if math.IsNaN(n.CapFF) || math.IsNaN(n.rOhm) {
-			return fmt.Errorf("parasitics: node %s has NaN parameters", n.Name)
-		}
-	}
-	return nil
 }

@@ -63,66 +63,6 @@ func (n *Network) AddRes(a, b string, ohm float64) error {
 	return nil
 }
 
-// AddStep drives a node through a source resistance with a voltage step
-// from v0 to v1 at t=0.
-func (n *Network) AddStep(name string, ohm, v0, v1 float64) error {
-	if ohm <= 0 {
-		return fmt.Errorf("parasitics: source resistance must be positive, got %g", ohm)
-	}
-	n.srcs = append(n.srcs, source{n.node(name), ohm, func(t float64) float64 {
-		if t >= 0 {
-			return v1
-		}
-		return v0
-	}})
-	return nil
-}
-
-// AddRamp drives a node through a source resistance with a linear ramp
-// from v0 to v1 over risePS.
-func (n *Network) AddRamp(name string, ohm, v0, v1, risePS float64) error {
-	if ohm <= 0 || risePS <= 0 {
-		return fmt.Errorf("parasitics: source needs positive resistance and rise time")
-	}
-	n.srcs = append(n.srcs, source{n.node(name), ohm, func(t float64) float64 {
-		switch {
-		case t <= 0:
-			return v0
-		case t >= risePS:
-			return v1
-		default:
-			return v0 + (v1-v0)*t/risePS
-		}
-	}})
-	return nil
-}
-
-// FromTree converts an RC tree (couplings treated as grounded at the
-// nominal Miller factor of 1) into a network, returning it without
-// sources attached.
-func FromTree(t *Tree) *Network {
-	n := NewNetwork()
-	for i := range t.nodes {
-		tn := &t.nodes[i]
-		c := tn.CapFF
-		for _, cp := range tn.Couplings {
-			c += cp.CapFF
-		}
-		n.AddCap(tn.Name, c)
-		if tn.parent >= 0 {
-			r := tn.rOhm
-			if r <= 0 {
-				r = 1e-3 // an ideal short, numerically
-			}
-			// Errors impossible: r > 0 by construction here.
-			if err := n.AddRes(t.nodes[tn.parent].Name, tn.Name, r); err != nil {
-				panic(err)
-			}
-		}
-	}
-	return n
-}
-
 // TransientResult holds sampled waveforms.
 type TransientResult struct {
 	// TimesPS are the sample instants.
@@ -147,15 +87,6 @@ func (r *TransientResult) CrossingPS(node string, v float64) float64 {
 		}
 	}
 	return math.NaN()
-}
-
-// Final returns the node's last sampled voltage.
-func (r *TransientResult) Final(node string) float64 {
-	w := r.V[node]
-	if len(w) == 0 {
-		return math.NaN()
-	}
-	return w[len(w)-1]
 }
 
 // Transient integrates the network from the given initial node voltages

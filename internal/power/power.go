@@ -23,7 +23,6 @@ package power
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/process"
 )
@@ -346,10 +345,4 @@ func GenerationsTable() []PerfWattRow {
 		})
 	}
 	return rows
-}
-
-// RoundLikePaper rounds a power in watts the way Table 1 prints it (one
-// decimal place).
-func RoundLikePaper(w float64) float64 {
-	return math.Round(w*10) / 10
 }

@@ -218,12 +218,6 @@ func TestGenerationsTableScalingClaims(t *testing.T) {
 	}
 }
 
-func TestRoundLikePaper(t *testing.T) {
-	if RoundLikePaper(4.91) != 4.9 || RoundLikePaper(0.46) != 0.5 {
-		t.Error("rounding mismatch")
-	}
-}
-
 func TestNodeCapScalesWithProcess(t *testing.T) {
 	a := ALPHA21064().NodeCapFF()
 	s := StrongARM110().NodeCapFF()

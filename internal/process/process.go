@@ -268,21 +268,9 @@ func (p *Process) IleakUA(t DeviceType, class VtClass, w, extraL float64, c Corn
 }
 
 // WireC returns the total capacitance in fF of a wire of length µm,
-// excluding coupling (use WireCcouple for neighbours).
+// excluding coupling to neighbours.
 func (p *Process) WireC(length float64) float64 {
 	return p.CwireFF * length
-}
-
-// WireCcouple returns the nominal sidewall coupling capacitance in fF to
-// one minimum-spaced neighbour over a parallel run of length µm.
-func (p *Process) WireCcouple(length float64) float64 {
-	return p.CcoupleFF * length
-}
-
-// WireR returns the resistance in Ω of a wire of length µm at minimum
-// width.
-func (p *Process) WireR(length float64) float64 {
-	return p.RwireOhm * length
 }
 
 // FO4ps returns the fanout-of-4 inverter delay in picoseconds at the

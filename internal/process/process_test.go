@@ -194,12 +194,6 @@ func TestWireModels(t *testing.T) {
 	if got := p.WireC(100); math.Abs(got-100*p.CwireFF) > 1e-12 {
 		t.Errorf("WireC(100) = %g", got)
 	}
-	if got := p.WireR(100); math.Abs(got-100*p.RwireOhm) > 1e-12 {
-		t.Errorf("WireR(100) = %g", got)
-	}
-	if got := p.WireCcouple(100); math.Abs(got-100*p.CcoupleFF) > 1e-12 {
-		t.Errorf("WireCcouple(100) = %g", got)
-	}
 }
 
 func TestDeviceTypeAndCornerStrings(t *testing.T) {

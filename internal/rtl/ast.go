@@ -210,17 +210,6 @@ type Program struct {
 	Top     string
 }
 
-// Inputs returns the module's input declarations.
-func (m *Module) Inputs() []SignalDecl {
-	var out []SignalDecl
-	for _, p := range m.Ports {
-		if p.Kind == KindInput {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Outputs returns the module's output declarations.
 func (m *Module) Outputs() []SignalDecl {
 	var out []SignalDecl

@@ -33,7 +33,6 @@ type PackedSim struct {
 	phaseStmts [][]packedClocked
 
 	cycles uint64
-	obs    *obs.Collector
 }
 
 // packedCamState is the CAM primitive's per-lane storage.
@@ -246,59 +245,6 @@ func (p *PackedSim) GetPlanes(name string, dst []uint64) []uint64 {
 	return dst[:w]
 }
 
-// GetLane returns one lane's value of a signal (0 for unknown names).
-func (p *PackedSim) GetLane(name string, lane int) uint64 {
-	i := p.design.SignalIndex(name)
-	if i < 0 {
-		return 0
-	}
-	return gatherLane(p.vals[p.off[i]:p.off[i]+p.design.Signals[i].Width], lane)
-}
-
-// GetMem reads one lane's memory word.
-func (p *PackedSim) GetMem(name string, lane, addr int) (uint64, error) {
-	mi, ok := p.design.mems[name]
-	if !ok {
-		return 0, fmt.Errorf("fcl: unknown mem %q", name)
-	}
-	depth := p.design.Mems[mi].Depth
-	if addr < 0 || addr >= depth {
-		return 0, fmt.Errorf("fcl: mem %q address %d out of range", name, addr)
-	}
-	return p.mems[mi][lane*depth+addr], nil
-}
-
-// LoadMem initializes memory contents identically in every lane.
-func (p *PackedSim) LoadMem(name string, words []uint64) error {
-	mi, ok := p.design.mems[name]
-	if !ok {
-		return fmt.Errorf("fcl: unknown mem %q", name)
-	}
-	depth := p.design.Mems[mi].Depth
-	if len(words) > depth {
-		return fmt.Errorf("fcl: mem %q holds %d words, got %d", name, depth, len(words))
-	}
-	mask := widthMask(p.design.Mems[mi].Width)
-	mem := p.mems[mi]
-	for lane := 0; lane < Lanes; lane++ {
-		for i, w := range words {
-			mem[lane*depth+i] = w & mask
-		}
-	}
-	p.settle()
-	return nil
-}
-
-// SetObserver attaches a telemetry collector (nil detaches). Completed
-// packed cycles count into rtl.packed_cycles and per-lane coverage into
-// rtl.lane_cycles; the lane width is published as the rtl.lanes gauge.
-func (p *PackedSim) SetObserver(c *obs.Collector) {
-	p.obs = c
-	if c != nil {
-		c.SetGauge("rtl.lanes", Lanes)
-	}
-}
-
 // settle evaluates all combinational assigns once in topological order.
 func (p *PackedSim) settle() {
 	for i := range p.assignFns {
@@ -409,35 +355,6 @@ func (p *PackedSim) Cycle() {
 		p.runPhase(stmts)
 	}
 	p.cycles++
-	if p.obs != nil {
-		p.obs.Add("rtl.packed_cycles", 1)
-		p.obs.Add("rtl.lane_cycles", Lanes)
-	}
-}
-
-// Run executes n cycles (n × 64 lane-cycles).
-func (p *PackedSim) Run(n int) {
-	for i := 0; i < n; i++ {
-		p.Cycle()
-	}
-}
-
-// CamInvalidate clears a CAM entry in every lane.
-func (p *PackedSim) CamInvalidate(name string, entry int) error {
-	ci, ok := p.design.cams[name]
-	if !ok {
-		return fmt.Errorf("fcl: unknown cam %q", name)
-	}
-	cam := p.cams[ci]
-	depth := cam.decl.Depth
-	if entry < 0 || entry >= depth {
-		return fmt.Errorf("fcl: cam %q entry %d out of range", name, entry)
-	}
-	for lane := 0; lane < Lanes; lane++ {
-		cam.valid[lane*depth+entry] = false
-	}
-	p.settle()
-	return nil
 }
 
 // compile lowers an expression to a plane evaluator. Width reporting
@@ -914,11 +831,4 @@ func (s *PackedStimulus) Vector() {
 func (s *PackedStimulus) Step() {
 	s.Vector()
 	s.sim.Cycle()
-}
-
-// Run executes n random packed cycles (n × 64 lane-cycles).
-func (s *PackedStimulus) Run(n int) {
-	for i := 0; i < n; i++ {
-		s.Step()
-	}
 }

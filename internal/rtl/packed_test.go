@@ -247,7 +247,9 @@ func TestRTLPackedPipelineProgram(t *testing.T) {
 	if err := ps.SetAll("run", 1); err != nil {
 		t.Fatal(err)
 	}
-	ps.Run(8)
+	for i := 0; i < 8; i++ {
+		ps.Cycle()
+	}
 	for lane := 0; lane < rtl.Lanes; lane++ {
 		if v, _ := ps.GetMem("regs", lane, 3); v != 8 {
 			t.Fatalf("lane %d: r3 = %d, want 8", lane, v)

@@ -260,17 +260,6 @@ endmodule
 	if s.Get("hit") != 0 {
 		t.Error("miss reported as hit")
 	}
-	// Invalidate.
-	if err := s.CamInvalidate("tags", 3); err != nil {
-		t.Fatal(err)
-	}
-	set(t, s, "key", 0xbeef)
-	if s.Get("hit") != 0 {
-		t.Error("invalidated entry still hits")
-	}
-	if err := s.CamInvalidate("none", 0); err == nil {
-		t.Error("unknown cam accepted")
-	}
 }
 
 func TestInstanceFlattening(t *testing.T) {

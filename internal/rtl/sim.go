@@ -334,20 +334,6 @@ func (s *Sim) Run(n int) {
 	}
 }
 
-// CamInvalidate clears a CAM entry (test/debug access).
-func (s *Sim) CamInvalidate(name string, entry int) error {
-	ci, ok := s.design.cams[name]
-	if !ok {
-		return fmt.Errorf("fcl: unknown cam %q", name)
-	}
-	if entry < 0 || entry >= len(s.cams[ci].valid) {
-		return fmt.Errorf("fcl: cam %q entry %d out of range", name, entry)
-	}
-	s.cams[ci].valid[entry] = false
-	s.settle()
-	return nil
-}
-
 // compile turns an expression into an evalFn; it returns the result
 // width for masking decisions in parent nodes.
 func (s *Sim) compile(e Expr, line int) (evalFn, int, error) {

@@ -187,14 +187,6 @@ func (s *PackedShadow) Cycle() {
 	}
 }
 
-// Run executes n cycles and reports whether the shadow stayed clean.
-func (s *PackedShadow) Run(n int) bool {
-	for i := 0; i < n; i++ {
-		s.Cycle()
-	}
-	return len(s.Mismatches) == 0
-}
-
 // Report summarizes the run.
 func (s *PackedShadow) Report() string {
 	if len(s.Mismatches) == 0 {

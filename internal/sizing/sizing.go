@@ -32,24 +32,8 @@ type Stage struct {
 	Branch float64
 }
 
-// LogicalEffortNAND returns g for an n-input NAND: (n+2)/3.
-func LogicalEffortNAND(n int) float64 { return float64(n+2) / 3 }
-
-// LogicalEffortNOR returns g for an n-input NOR: (2n+1)/3.
-func LogicalEffortNOR(n int) float64 { return float64(2*n+1) / 3 }
-
 // Inverter returns an inverter stage.
 func Inverter(name string) Stage { return Stage{Name: name, G: 1, P: 1, Branch: 1} }
-
-// NAND returns an n-input NAND stage.
-func NAND(name string, n int) Stage {
-	return Stage{Name: name, G: LogicalEffortNAND(n), P: float64(n), Branch: 1}
-}
-
-// NOR returns an n-input NOR stage.
-func NOR(name string, n int) Stage {
-	return Stage{Name: name, G: LogicalEffortNOR(n), P: float64(n), Branch: 1}
-}
 
 // Result is a sized path.
 type Result struct {
@@ -167,25 +151,4 @@ func WidthsFromCin(cinFF []float64, proc *process.Process) (wn, wp []float64) {
 		wp[i] = 2 * total / 3
 	}
 	return wn, wp
-}
-
-// EvaluateDelay computes the delay in τ units of a path with *given*
-// stage input caps (not necessarily optimal), for comparing manual
-// sizings against the optimizer.
-func EvaluateDelay(stages []Stage, cinFF []float64, loadFF float64) (float64, error) {
-	if len(stages) != len(cinFF) {
-		return 0, fmt.Errorf("sizing: %d stages but %d caps", len(stages), len(cinFF))
-	}
-	d := 0.0
-	for i, s := range stages {
-		cout := loadFF
-		if i+1 < len(cinFF) {
-			cout = cinFF[i+1]
-		}
-		if cinFF[i] <= 0 {
-			return 0, fmt.Errorf("sizing: stage %d has non-positive cap", i)
-		}
-		d += s.G*s.Branch*cout/cinFF[i] + s.P
-	}
-	return d, nil
 }

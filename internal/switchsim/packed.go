@@ -258,14 +258,6 @@ func (p *PackedSim) SetQuietLanes(name string, hi, lo uint64) {
 	p.markNode(id)
 }
 
-// SetLanes forces per-lane values and relaxes, returning the iteration
-// count. The hi word carries the lanes to drive high; lanes set in
-// both words are X, lanes set in neither are X.
-func (p *PackedSim) SetLanes(name string, hi, lo uint64) int {
-	p.SetQuietLanes(name, hi, lo)
-	return p.Settle()
-}
-
 // SetQuietAll forces one value into all 64 lanes of a node.
 func (p *PackedSim) SetQuietAll(name string, v Value) {
 	switch v {
@@ -276,18 +268,6 @@ func (p *PackedSim) SetQuietAll(name string, v Value) {
 	default:
 		p.SetQuietLanes(name, allLanes, allLanes)
 	}
-}
-
-// Release removes the external drive from a node (it becomes a
-// charged, possibly floating node in every lane) and relaxes.
-func (p *PackedSim) Release(name string) int {
-	id := p.c.FindNode(name)
-	if id == netlist.InvalidNode || p.c.IsSupply(id) {
-		return 0
-	}
-	p.driven[id] = false
-	p.markNode(id)
-	return p.Settle()
 }
 
 // GetLanes returns a node's dual-rail planes (X, X for unknown names).
@@ -321,13 +301,6 @@ func (p *PackedSim) GetLaneID(id netlist.NodeID, lane int) Value {
 		return Lo
 	}
 }
-
-// Steps returns the cumulative relaxation iterations.
-func (p *PackedSim) Steps() int { return p.steps }
-
-// CompEvals returns the cumulative component evaluations; each one
-// covered all 64 lanes.
-func (p *PackedSim) CompEvals() int { return p.compEvals }
 
 // SetObserver attaches a telemetry collector: every Settle adds
 // switchsim.packed_settles, switchsim.lane_evals and
@@ -757,16 +730,4 @@ func (p *PackedSim) laneStrength(ci int, id netlist.NodeID, lane uint, side Valu
 		}
 	}
 	return str[id]
-}
-
-// SnapshotLane returns a name→value map of all non-supply nodes in one
-// lane, for differential assertions against the scalar oracle.
-func (p *PackedSim) SnapshotLane(lane int) map[string]Value {
-	out := make(map[string]Value)
-	for id, n := range p.c.Nodes {
-		if !p.c.IsSupply(netlist.NodeID(id)) {
-			out[n.Name] = p.GetLaneID(netlist.NodeID(id), lane)
-		}
-	}
-	return out
 }

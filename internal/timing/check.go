@@ -1,10 +1,8 @@
 package timing
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/netlist"
 	"repro/internal/process"
@@ -246,41 +244,4 @@ func (a *analyzer) tracePath(end netlist.NodeID, first, rest []netlist.NodeID) [
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev
-}
-
-// Format renders the report the way the paper's designers consumed it:
-// worst paths first, races called out unconditionally (§4.3: a missed
-// race means "a costly debug along with a schedule slip").
-func (r *Report) Format(maxPaths int) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "timing: %d arcs, %d endpoints, min period %.0f ps\n",
-		len(r.Arcs), len(r.Paths), r.MinPeriodPS)
-	if len(r.Races) > 0 {
-		fmt.Fprintf(&sb, "RACES (%d) — these break the design at ANY frequency:\n", len(r.Races))
-		for _, p := range r.Races {
-			fmt.Fprintf(&sb, "  %s: hold slack %.0f ps (min path %v)\n",
-				r.Circuit.NodeName(p.Endpoint), p.HoldSlack, names(r.Circuit, p.NodesMin))
-		}
-	}
-	n := len(r.Paths)
-	if maxPaths > 0 && n > maxPaths {
-		n = maxPaths
-	}
-	sb.WriteString("critical paths (worst first):\n")
-	for i := 0; i < n; i++ {
-		p := r.Paths[i]
-		fmt.Fprintf(&sb, "  %-16s slack %7.0f ps  arrival [%.0f, %.0f]  %v\n",
-			r.Circuit.NodeName(p.Endpoint), p.SetupSlack, p.Arrival.Min, p.Arrival.Max,
-			names(r.Circuit, p.NodesMax))
-	}
-	return sb.String()
-}
-
-// names maps node IDs to their names.
-func names(c *netlist.Circuit, ids []netlist.NodeID) []string {
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = c.NodeName(id)
-	}
-	return out
 }

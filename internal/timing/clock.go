@@ -24,9 +24,6 @@ type Phase struct {
 	ClosePS float64
 }
 
-// Width returns the transparent window width.
-func (p Phase) Width() float64 { return p.ClosePS - p.OpenPS }
-
 // ClockSpec is the clocking methodology description (Figure 4): a cycle
 // period and the phase windows of each named clock net.
 type ClockSpec struct {

@@ -3,7 +3,6 @@ package timing
 import (
 	"math"
 	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/netlist"
@@ -367,13 +366,6 @@ func endpointNames(rep *Report) []string {
 	return out
 }
 
-func TestPhaseWidth(t *testing.T) {
-	p := Phase{OpenPS: 100, ClosePS: 400}
-	if p.Width() != 300 {
-		t.Errorf("width = %g", p.Width())
-	}
-}
-
 func TestSinglePhaseSpec(t *testing.T) {
 	spec := SinglePhase(2000)
 	if err := spec.Validate(); err != nil {
@@ -469,21 +461,5 @@ func TestClockSkewTightensChecks(t *testing.T) {
 	opt.ClockSkewPS = -5
 	if _, err := Analyze(rec, netlist.ComputeSignatures(c), opt); err == nil {
 		t.Error("negative skew accepted")
-	}
-}
-
-func TestReportFormat(t *testing.T) {
-	c := netlist.New("fmt")
-	c.DeclarePort("d")
-	addTGLatch(c, "l1", "d", "phi1", "phi1n", "q1")
-	addInv(c, "u1", "q1", "d2")
-	addTGLatch(c, "l2", "d2", "phi1", "phi1n", "q2")
-	c.DeclarePort("q2")
-	_, rep := analyzeCircuit(t, c, defaultOpts())
-	s := rep.Format(3)
-	for _, want := range []string{"RACES", "ANY frequency", "critical paths", "min period"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("format missing %q:\n%s", want, s)
-		}
 	}
 }
