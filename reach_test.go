@@ -22,18 +22,18 @@ import (
 // its own package's _test.go files.
 var unreachedAllowed = map[string]string{
 	"logic.TableFromExpr":       "the truth-table oracle of the BDD kernel and of recognize's TestOutputFlagsMatchTruthTables",
-	"netlist.Circuit.AddCap":    "adds wire load to hand-built circuits in the checks and timing tests",
-	"netlist.ParseFile":         "reads the example decks in the checks, lint and recognize tests",
-	"obs.Collector.Counter":     "reads one counter back in the fleet, core and serve tests",
-	"obs.MaskMetricsValues":     "masks /metrics values for the golden shape tests in serve and cmd/fcv",
-	"obs.Manifest.StageTotalMS": "sums a stage's spans in the fleet and cmd/fcv manifest tests",
-	"obs.ValidateMetricsText":   "the /metrics exposition oracle of the serve and cmd/fcv tests",
-	"rtl.PackedSim.SetAll":      "broadcasts one input to every lane in the shadow and switchsim lane tests",
-	"rtl.PackedSim.SetPlanes":   "drives per-lane inputs in the shadow and switchsim lane tests",
-	"rtl.Sim.Cycles":            "reads the cycle count in the experiments and shadow tests",
-	"rtl.Sim.GetMem":            "reads memory words in the experiments and shadow tests",
-	"rtl.Sim.Phase":             "reads the clock phase in the shadow tests",
-	"timing.SinglePhase":        "the one-phase clock of the checks and core tests",
+	"netlist.Circuit.AddCap":    "adds wire load to hand-built circuits in the checks and hier tests",
+	"netlist.ParseFile":         "reads example decks in the cmd/fcv, checks, recognize and switchsim tests",
+	"obs.Collector.Counter":     "reads one counter back in the fleet, rtl and switchsim tests",
+	"obs.MaskMetricsValues":     "masks /metrics values for serve's golden shape test",
+	"obs.Manifest.StageTotalMS": "sums a stage's spans in cmd/fcv's manifest tests",
+	"obs.ValidateMetricsText":   "the /metrics exposition oracle of the serve tests and FuzzValidateMetricsText",
+	"rtl.PackedSim.SetAll":      "broadcasts one input to every lane in the rtl and shadow lane tests",
+	"rtl.PackedSim.SetPlanes":   "drives per-lane inputs in the rtl and shadow lane tests",
+	"rtl.Sim.Cycles":            "reads the cycle count in the rtl and shadow tests",
+	"rtl.Sim.GetMem":            "reads memory words in the designs and rtl tests",
+	"rtl.Sim.Phase":             "reads the clock phase in the rtl and shadow tests",
+	"timing.SinglePhase":        "the one-phase clock of the core and timing tests",
 }
 
 // TestEveryInternalFunctionIsReached fails on any function or method
